@@ -389,111 +389,103 @@ func BenchmarkProcessRecord(b *testing.B) {
 }
 
 // BenchmarkShardStep measures ShardChain.Step throughput — the per-block
-// hot path of the operational layer — serial vs parallel under both
-// multi-shard models. Each block carries one token-contract call per user
-// (real EVM work per shard), 10% of them cross-shard, so the parallel
-// engine's per-shard fan-out scales with GOMAXPROCS on multi-core runners
-// while migration-model barriers and receipts settlement keep the
-// comparison honest. The engines are byte-identical by contract (pinned by
-// shardchain's property tests); this benchmark tracks what that buys.
+// hot path of the operational layer — under both multi-shard models. Each
+// block carries one token-contract call per user (real EVM work per
+// shard), 10% of them cross-shard: a cross-shard receipt under the
+// receipts model, a sender migration under the migration model.
 func BenchmarkShardStep(b *testing.B) {
 	const (
 		k             = 4
 		usersPerShard = 32
 	)
 	for _, model := range []shardchain.Model{shardchain.ModelReceipts, shardchain.ModelMigration} {
-		for _, engine := range []struct {
-			name     string
-			parallel bool
-		}{{"serial", false}, {"parallel", true}} {
-			b.Run(fmt.Sprintf("model=%v/engine=%s", model, engine.name), func(b *testing.B) {
-				users := make([]types.Address, 0, k*usersPerShard)
-				assign := map[types.Address]int{}
-				alloc := map[types.Address]evm.Word{}
-				for s := 0; s < k; s++ {
-					for u := 0; u < usersPerShard; u++ {
-						a := types.AddressFromSeq(uint64(1 + s*usersPerShard + u))
-						users = append(users, a)
-						assign[a] = s
-						alloc[a] = evm.WordFromUint64(1 << 40)
-					}
+		b.Run(fmt.Sprintf("model=%v", model), func(b *testing.B) {
+			users := make([]types.Address, 0, k*usersPerShard)
+			assign := map[types.Address]int{}
+			alloc := map[types.Address]evm.Word{}
+			for s := 0; s < k; s++ {
+				for u := 0; u < usersPerShard; u++ {
+					a := types.AddressFromSeq(uint64(1 + s*usersPerShard + u))
+					users = append(users, a)
+					assign[a] = s
+					alloc[a] = evm.WordFromUint64(1 << 40)
 				}
-				// One token contract per shard, deployed by a dedicated
-				// account homed there; the derived contract addresses join
-				// the assignment so code and home coincide.
-				deployers := make([]types.Address, k)
-				tokens := make([]types.Address, k)
-				for s := 0; s < k; s++ {
-					deployers[s] = types.AddressFromSeq(uint64(10_000 + s))
-					assign[deployers[s]] = s
-					alloc[deployers[s]] = evm.WordFromUint64(1 << 40)
-					tokens[s] = types.ContractAddress(deployers[s], 0)
-					assign[tokens[s]] = s
-				}
-				sc, err := shardchain.New(shardchain.Config{
-					K: k, Model: model, Chain: chain.DefaultConfig(), Parallel: engine.parallel,
-				}, alloc, func(a types.Address) (int, bool) {
-					s, ok := assign[a]
-					return s, ok
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var deploys []*chain.Transaction
-				for s := 0; s < k; s++ {
-					deploys = append(deploys, &chain.Transaction{
-						Nonce: 0, From: deployers[s],
-						Data:     evm.DeployWrapper(workload.TokenRuntime()),
-						GasLimit: 5_000_000, GasPrice: 0,
-					})
-				}
-				for _, r := range sc.Step(deploys) {
-					if !r.Success {
-						b.Fatalf("token deploy failed: %v", r.Err)
-					}
-				}
-
-				nonces := map[types.Address]uint64{}
-				word := func(a types.Address) [32]byte { return evm.WordFromBytes(a[:]).Bytes32() }
-				block := func(i int) []*chain.Transaction {
-					txs := make([]*chain.Transaction, 0, len(users))
-					for j, u := range users {
-						// Call the token on the user's current shard, or —
-						// for every 10th (user, block) pair — on the next
-						// shard over: a cross-shard receipt or a sender
-						// migration, depending on the model.
-						home := sc.HomeOf(u)
-						if (i+j)%10 == 0 {
-							home = (home + 1) % k
-						}
-						recipient := word(users[(j+i+1)%len(users)])
-						amount := evm.WordFromUint64(1).Bytes32()
-						to := tokens[home]
-						txs = append(txs, &chain.Transaction{
-							Nonce: nonces[u], From: u, To: &to,
-							Data:     append(recipient[:], amount[:]...),
-							GasLimit: 300_000, GasPrice: 0,
-						})
-						nonces[u]++
-					}
-					return txs
-				}
-
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, r := range sc.Step(block(i)) {
-						if r.Err != nil {
-							b.Fatalf("tx failed: %v", r.Err)
-						}
-					}
-				}
-				b.StopTimer()
-				if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-					b.ReportMetric(float64(b.N*len(users))/elapsed, "tx/s")
-				}
+			}
+			// One token contract per shard, deployed by a dedicated
+			// account homed there; the derived contract addresses join
+			// the assignment so code and home coincide.
+			deployers := make([]types.Address, k)
+			tokens := make([]types.Address, k)
+			for s := 0; s < k; s++ {
+				deployers[s] = types.AddressFromSeq(uint64(10_000 + s))
+				assign[deployers[s]] = s
+				alloc[deployers[s]] = evm.WordFromUint64(1 << 40)
+				tokens[s] = types.ContractAddress(deployers[s], 0)
+				assign[tokens[s]] = s
+			}
+			sc, err := shardchain.New(shardchain.Config{
+				K: k, Model: model, Chain: chain.DefaultConfig(),
+			}, alloc, func(a types.Address) (int, bool) {
+				s, ok := assign[a]
+				return s, ok
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			var deploys []*chain.Transaction
+			for s := 0; s < k; s++ {
+				deploys = append(deploys, &chain.Transaction{
+					Nonce: 0, From: deployers[s],
+					Data:     evm.DeployWrapper(workload.TokenRuntime()),
+					GasLimit: 5_000_000, GasPrice: 0,
+				})
+			}
+			for _, r := range sc.Step(deploys) {
+				if !r.Success {
+					b.Fatalf("token deploy failed: %v", r.Err)
+				}
+			}
+
+			nonces := map[types.Address]uint64{}
+			word := func(a types.Address) [32]byte { return evm.WordFromBytes(a[:]).Bytes32() }
+			block := func(i int) []*chain.Transaction {
+				txs := make([]*chain.Transaction, 0, len(users))
+				for j, u := range users {
+					// Call the token on the user's current shard, or —
+					// for every 10th (user, block) pair — on the next
+					// shard over: a cross-shard receipt or a sender
+					// migration, depending on the model.
+					home := sc.HomeOf(u)
+					if (i+j)%10 == 0 {
+						home = (home + 1) % k
+					}
+					recipient := word(users[(j+i+1)%len(users)])
+					amount := evm.WordFromUint64(1).Bytes32()
+					to := tokens[home]
+					txs = append(txs, &chain.Transaction{
+						Nonce: nonces[u], From: u, To: &to,
+						Data:     append(recipient[:], amount[:]...),
+						GasLimit: 300_000, GasPrice: 0,
+					})
+					nonces[u]++
+				}
+				return txs
+			}
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, r := range sc.Step(block(i)) {
+					if r.Err != nil {
+						b.Fatalf("tx failed: %v", r.Err)
+					}
+				}
+			}
+			b.StopTimer()
+			if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+				b.ReportMetric(float64(b.N*len(users))/elapsed, "tx/s")
+			}
+		})
 	}
 }
 

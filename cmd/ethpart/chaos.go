@@ -36,7 +36,6 @@ func runChaos(args []string) error {
 	methodFlag := fs.String("method", "tr-metis", "repartitioning method (waves feed the flip-stall scenarios)")
 	eras := fs.Int("eras", 6, "drifting eras in the trace")
 	windows := fs.Int("windows-per-era", 6, "4-hour windows per era")
-	parallel := fs.Bool("parallel", false, "run the chain on the parallel per-shard engine")
 	netMode := fs.Bool("net", false, "replicate directory commits to replica processes over loopback TCP")
 	netReplicas := fs.Int("replicas", 2, "replica process count (with -net); each gets its own fault plane")
 	csvOut := fs.Bool("csv", false, "emit CSV instead of the table")
@@ -88,9 +87,8 @@ func runChaos(args []string) error {
 				BalanceThreshold:  1.5,
 				DecayHalfLife:     12 * time.Hour,
 			},
-			Model:    shardchain.ModelReceipts,
-			Parallel: *parallel,
-			Capture:  true,
+			Model:   shardchain.ModelReceipts,
+			Capture: true,
 			// Budget for injected backoff chains: a dropped receipt can take
 			// MaxAttempts tries with capped exponential backoff before its
 			// forced delivery.

@@ -8,7 +8,7 @@
 //	        [-decay-half-life 168h] [-horizon 672h]
 //	ethpart -scenario flash-nft-mint [-arrival poisson] [-hours 48] [-seed 1] [-method metis]
 //	ethpart ops [-seed 1] [-scale 0.002] [-scenario diurnal-exchange [-arrival flash]]
-//	        [-k 2] [-csv] [-parallel] [-decay-half-life 168h] [-horizon 672h]
+//	        [-k 2] [-csv] [-decay-half-life 168h] [-horizon 672h]
 //	        [-autoscale [-k-min 1] [-k-max 8] [-target-load 1024]]
 //	ethpart bench-dir [-readers 1,2,4] [-duration 1s] [-method tr-metis]
 //	        [-eras 12] [-decay-half-life 12h] [-net [-replicas 2]] [-csv]
@@ -32,9 +32,7 @@
 // The ops subcommand runs the operational co-simulation: every method is
 // replayed through a live sharded chain under both multi-shard models and
 // the edge-cut curves gain operational twins — cross-shard messages,
-// settlement latency, migrated state and failed transactions. With
-// -parallel the chain also runs on the parallel per-shard engine
-// (byte-identical results) and the table reports its per-block speedup.
+// settlement latency, migrated state and failed transactions.
 // Homes are resolved through the concurrent placement directory
 // (internal/directory), the same serving path bench-dir loads. With
 // -autoscale the shard count becomes a control variable: the saturation

@@ -15,10 +15,7 @@ import (
 
 // runOps executes the ops subcommand: generate a seeded workload, replay it
 // through a live sharded chain for every method under both multi-shard
-// models, and report per-window and total operational metrics. With
-// -parallel the replay also runs on the parallel per-shard engine and the
-// table gains its per-block speedup over serial (the replayed metrics
-// themselves are byte-identical by construction, and verified to be).
+// models, and report per-window and total operational metrics.
 func runOps(args []string) error {
 	fs := flag.NewFlagSet("ethpart ops", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "workload seed")
@@ -30,7 +27,6 @@ func runOps(args []string) error {
 	repartition := fs.Duration("repartition", 14*24*time.Hour, "repartition period")
 	blockInterval := fs.Duration("block", 2*time.Hour, "simulated block interval")
 	csvOut := fs.Bool("csv", false, "emit per-window CSV instead of the summary table")
-	parallel := fs.Bool("parallel", false, "also run the parallel per-shard engine and report its per-block speedup")
 	decay := fs.Duration("decay-half-life", 0, "enable windowed graph decay with this half-life (0 = full history)")
 	horizon := fs.Duration("horizon", 0, "decay retention horizon (0 = 4x the half-life)")
 	autoscale := fs.Bool("autoscale", false, "let the saturation controller resize the shard count at window boundaries")
@@ -87,37 +83,20 @@ func runOps(args []string) error {
 	if err != nil {
 		return err
 	}
-	var prows []experiments.OperationalRow
-	if *parallel {
-		if prows, err = ds.OperationalParallel(*k); err != nil {
-			return err
-		}
-		// The two engines are byte-identical by contract; hold the CLI to it.
-		for i := range rows {
-			if rows[i].Result.Totals != prows[i].Result.Totals {
-				return fmt.Errorf("ops: parallel engine diverged from serial on %v/%v",
-					rows[i].Method, rows[i].Model)
-			}
-		}
-	}
 	if *csvOut {
-		if *parallel {
-			return opsCSV(os.Stdout, prows)
-		}
 		return opsCSV(os.Stdout, rows)
 	}
 	fmt.Printf("replayed %s interactions × %d method/model runs in %v\n\n",
 		report.FormatCount(int64(len(ds.GT.Records))), len(rows),
 		time.Since(start).Round(time.Millisecond))
-	return opsTable(os.Stdout, rows, prows)
+	return opsTable(os.Stdout, rows)
 }
 
-// opsTable renders the summary matrix: one row per method × model. ms/blk
-// is always the serial engine's per-block cost; when parallel rows are
-// present, par-ms/blk and speedup put the parallel engine beside it.
-func opsTable(w io.Writer, rows, prows []experiments.OperationalRow) error {
+// opsTable renders the summary matrix: one row per method × model, ending
+// with the chain's wall-clock cost per block (ms/blk).
+func opsTable(w io.Writer, rows []experiments.OperationalRow) error {
 	var out [][]string
-	for i, row := range rows {
+	for _, row := range rows {
 		res := row.Result
 		latency := "-"
 		if res.Totals.ReceiptsSettled > 0 {
@@ -141,24 +120,13 @@ func opsTable(w io.Writer, rows, prows []experiments.OperationalRow) error {
 			report.FormatCount(res.Totals.Failed),
 			report.FormatCount(shardWindows),
 			strconv.Itoa(len(res.Sim.Resizes)),
-		}
-		cols = append(cols, fmt.Sprintf("%.3f", res.MsPerBlock()))
-		if prows != nil {
-			pres := prows[i].Result
-			speedup := "-"
-			if pres.StepNanos > 0 {
-				speedup = fmt.Sprintf("%.2fx", float64(res.StepNanos)/float64(pres.StepNanos))
-			}
-			cols = append(cols, fmt.Sprintf("%.3f", pres.MsPerBlock()), speedup)
+			fmt.Sprintf("%.3f", res.MsPerBlock()),
 		}
 		out = append(out, cols)
 	}
 	headers := []string{
 		"method", "model", "dyn-cut", "cross-txs", "messages", "latency(blk)",
 		"migrations", "slots", "failed", "shrd-win", "resizes", "ms/blk",
-	}
-	if prows != nil {
-		headers = append(headers, "par-ms/blk", "speedup")
 	}
 	return report.Table(w, headers, out)
 }

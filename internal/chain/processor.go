@@ -35,20 +35,6 @@ func ApplyTransaction(state *State, tx *Transaction, miner types.Address) (*Rece
 // execution engine uses it to divert internal calls that leave the
 // executing shard into receipts.
 func ApplyTransactionHooked(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook) (*Receipt, error) {
-	return applyTransaction(state, tx, miner, hook, false)
-}
-
-// ApplyTransactionRetained is ApplyTransactionHooked without the journal
-// discards at the commit points, so a caller holding a Snapshot taken
-// before the transaction ran can still revert it (and any transactions
-// applied since that snapshot) wholesale. The parallel shard engine's
-// conflict rollback depends on this; the state content it produces is
-// identical to ApplyTransactionHooked's.
-func ApplyTransactionRetained(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook) (*Receipt, error) {
-	return applyTransaction(state, tx, miner, hook, true)
-}
-
-func applyTransaction(state *State, tx *Transaction, miner types.Address, hook evm.RemoteHook, retain bool) (*Receipt, error) {
 	receipt := &Receipt{TxHash: tx.Hash()}
 
 	if got := state.GetNonce(tx.From); got != tx.Nonce {
@@ -68,9 +54,7 @@ func applyTransaction(state *State, tx *Transaction, miner types.Address, hook e
 	// Buy gas and bump the nonce; these survive execution failure.
 	state.SubBalance(tx.From, gasCost)
 	state.SetNonce(tx.From, tx.Nonce+1)
-	if !retain {
-		state.DiscardJournal()
-	}
+	state.DiscardJournal()
 
 	snap := state.Snapshot()
 	vm := evm.New(state)
@@ -99,17 +83,13 @@ func applyTransaction(state *State, tx *Transaction, miner types.Address, hook e
 		state.RevertToSnapshot(snap)
 		gasLeft = 0 // failed executions consume all gas, as post-Homestead Ethereum
 	}
-	if !retain {
-		state.DiscardJournal()
-	}
+	state.DiscardJournal()
 
 	gasUsed := tx.GasLimit - gasLeft
 	// Refund unused gas and pay the miner.
 	state.AddBalance(tx.From, evm.WordFromUint64(gasLeft*tx.GasPrice))
 	state.AddBalance(miner, evm.WordFromUint64(gasUsed*tx.GasPrice))
-	if !retain {
-		state.DiscardJournal()
-	}
+	state.DiscardJournal()
 
 	receipt.Success = execErr == nil
 	receipt.Err = execErr

@@ -23,16 +23,15 @@ type OperationalRow struct {
 }
 
 type opsKey struct {
-	method   sim.Method
-	model    shardchain.Model
-	k        int
-	parallel bool
+	method sim.Method
+	model  shardchain.Model
+	k      int
 }
 
 // opsConfigFor is the co-simulation configuration for one cell of the
 // operational matrix.
 func (d *Dataset) opsConfigFor(key opsKey) opsim.Config {
-	return opsim.Config{Sim: d.configFor(key.method, key.k), Model: key.model, Parallel: key.parallel}
+	return opsim.Config{Sim: d.configFor(key.method, key.k), Model: key.model}
 }
 
 // cachedOps returns the cached co-simulation result for key, if any.
@@ -51,11 +50,10 @@ func (d *Dataset) storeOps(key opsKey, res *opsim.Result) {
 }
 
 // OperationalRun returns the (cached) co-simulation result for one
-// method × model at k shards on the serial chain engine. It is safe to
-// call concurrently (the caches are mutex-guarded; the trace is only
-// read).
+// method × model at k shards. It is safe to call concurrently (the caches
+// are mutex-guarded; the trace is only read).
 func (d *Dataset) OperationalRun(method sim.Method, model shardchain.Model, k int) (*opsim.Result, error) {
-	return d.operationalRun(opsKey{method, model, k, false})
+	return d.operationalRun(opsKey{method, model, k})
 }
 
 func (d *Dataset) operationalRun(key opsKey) (*opsim.Result, error) {
@@ -80,25 +78,13 @@ func (d *Dataset) operationalRun(key opsKey) (*opsim.Result, error) {
 // and in total. Uncached combinations run in parallel (each co-simulation
 // only reads the shared trace, like sim.RunSweep's replays).
 func (d *Dataset) Operational(k int) ([]OperationalRow, error) {
-	return d.operational(k, false)
-}
-
-// OperationalParallel is Operational on shardchain's parallel per-shard
-// engine: every replayed window and total is byte-identical to
-// Operational's, and the results' Blocks/StepNanos measure what the
-// parallel engine buys per block.
-func (d *Dataset) OperationalParallel(k int) ([]OperationalRow, error) {
-	return d.operational(k, true)
-}
-
-func (d *Dataset) operational(k int, parallel bool) ([]OperationalRow, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("experiments: ops: k must be >= 1, got %d", k)
 	}
 	var missing []opsKey
 	for _, model := range Models() {
 		for _, m := range sim.Methods() {
-			key := opsKey{m, model, k, parallel}
+			key := opsKey{m, model, k}
 			if _, ok := d.cachedOps(key); !ok {
 				missing = append(missing, key)
 			}
@@ -121,7 +107,7 @@ func (d *Dataset) operational(k int, parallel bool) ([]OperationalRow, error) {
 	var rows []OperationalRow
 	for _, model := range Models() {
 		for _, m := range sim.Methods() {
-			res, err := d.operationalRun(opsKey{m, model, k, parallel})
+			res, err := d.operationalRun(opsKey{m, model, k})
 			if err != nil {
 				return nil, err
 			}

@@ -197,31 +197,3 @@ func tinyDecayedDataset(t *testing.T) *Dataset {
 	}
 	return ds
 }
-
-func TestOperationalParallelMatchesSerialRows(t *testing.T) {
-	ds := tinyDataset(t)
-	serial, err := ds.Operational(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ds.OperationalParallel(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("row counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		s, p := serial[i].Result, parallel[i].Result
-		if s == p {
-			t.Fatalf("row %d: engines share one cache entry", i)
-		}
-		if !p.Parallel || s.Parallel {
-			t.Fatalf("row %d: engine flags wrong", i)
-		}
-		if s.Totals != p.Totals {
-			t.Errorf("row %d (%v/%v): totals diverge: serial %+v, parallel %+v",
-				i, serial[i].Method, serial[i].Model, s.Totals, p.Totals)
-		}
-	}
-}

@@ -165,39 +165,60 @@ func BenchmarkCSRRebuildAfterRetirement(b *testing.B) {
 // live — while the eager sweep, benchmarked alongside as the baseline,
 // scales linearly. Part of CI's benchmark smoke.
 func BenchmarkQuietWindowSweep(b *testing.B) {
-	// A horizon at the schedule's upper bound keeps every entry inside it
-	// for any realistic b.N, so the measured sweeps stay genuinely quiet.
-	const maxAge = maxScheduledAge
+	// Every sweep ages the idle entries by one window, and at default
+	// benchtime the scheduled rows run millions of sweeps — far past any
+	// horizon, after which the graph has retired and the benchmark would
+	// time sweeps of an empty graph. So the graph is rebuilt, with the
+	// timer stopped, every quietSweeps measured sweeps: well inside the
+	// horizon, so every measured sweep sees all `live` vertices.
+	const (
+		maxAge      = maxScheduledAge
+		warmSweeps  = 3
+		quietSweeps = maxAge / 2
+	)
 	for _, mode := range []struct {
 		name      string
 		scheduled bool
 	}{{"scheduled", true}, {"eager", false}} {
 		for _, live := range []int{2000, 20000} {
 			b.Run(fmt.Sprintf("mode=%s/live=%d", mode.name, live), func(b *testing.B) {
-				g := New()
-				if mode.scheduled {
-					if err := g.EnableScheduledDecay(maxAge); err != nil {
-						b.Fatal(err)
+				build := func() *Graph {
+					g := New()
+					if mode.scheduled {
+						if err := g.EnableScheduledDecay(maxAge); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				for i := 0; i < live; i++ {
-					if err := g.AddInteraction(VertexID(i), VertexID((i+1)%live),
-						KindAccount, KindAccount, 2); err != nil {
-						b.Fatal(err)
+					for i := 0; i < live; i++ {
+						if err := g.AddInteraction(VertexID(i), VertexID((i+1)%live),
+							KindAccount, KindAccount, 2); err != nil {
+							b.Fatal(err)
+						}
 					}
+					// Warm sweeps: grind every weight to the decay floor and
+					// drain the heavy lists; afterwards each sweep is quiet.
+					for i := 0; i < warmSweeps; i++ {
+						g.DecayWeights(0.5, maxAge)
+					}
+					return g
 				}
-				// Warm sweeps: grind every weight to the decay floor and
-				// drain the heavy lists; afterwards each sweep is quiet.
-				for i := 0; i < 3; i++ {
-					g.DecayWeights(0.5, maxAge)
-				}
+				g := build()
 				b.ReportAllocs()
 				b.ResetTimer()
 				var touched int
 				for i := 0; i < b.N; i++ {
+					if i > 0 && i%quietSweeps == 0 {
+						b.StopTimer()
+						g = build()
+						b.StartTimer()
+					}
 					touched += g.DecaySweep(0.5, maxAge, nil, nil).Touched
 				}
 				b.StopTimer()
+				if got := g.VertexCount(); got != live {
+					b.Fatalf("live-vertices = %d after %d sweeps, want %d: the benchmark measured a retiring graph",
+						got, b.N, live)
+				}
 				b.ReportMetric(float64(touched)/float64(b.N), "touched/sweep")
 				b.ReportMetric(float64(g.VertexCount()), "live-vertices")
 			})

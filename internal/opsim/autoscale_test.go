@@ -197,35 +197,3 @@ func TestAutoscaleResolverByteIdentity(t *testing.T) {
 		}
 	}
 }
-
-// TestAutoscaleParallelMatchesSerial: the parallel per-shard engine must
-// survive mid-run lane growth and removal and still reproduce the serial
-// engine bit for bit.
-func TestAutoscaleParallelMatchesSerial(t *testing.T) {
-	gt := flashTrace()
-	serialCfg := autoscaleCfg(shardchain.ModelReceipts)
-	parallelCfg := serialCfg
-	parallelCfg.Parallel = true
-	a, err := Run(gt, serialCfg)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	b, err := Run(gt, parallelCfg)
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if len(a.Sim.Resizes) == 0 {
-		t.Fatal("no resizes fired; engine check is vacuous")
-	}
-	if a.Totals != b.Totals {
-		t.Errorf("totals diverge:\nserial:   %+v\nparallel: %+v", a.Totals, b.Totals)
-	}
-	if len(a.Windows) != len(b.Windows) {
-		t.Fatalf("window counts differ: %d vs %d", len(a.Windows), len(b.Windows))
-	}
-	for i := range a.Windows {
-		if a.Windows[i] != b.Windows[i] {
-			t.Errorf("window %d diverges:\nserial:   %+v\nparallel: %+v", i, a.Windows[i], b.Windows[i])
-		}
-	}
-}

@@ -76,10 +76,6 @@ type Config struct {
 	// MaxSettleSteps bounds the empty blocks stepped at the end of the run
 	// to drain in-flight receipts (zero → 64).
 	MaxSettleSteps int
-	// Parallel runs the live chain on shardchain's parallel per-shard
-	// engine. The replayed results (windows, totals) are byte-identical to
-	// the serial engine's; only the timing fields differ.
-	Parallel bool
 	// Resolver selects the home-resolution path; the zero value is
 	// ResolverDirectory. Both resolvers produce byte-identical results.
 	Resolver Resolver
@@ -196,8 +192,6 @@ type Result struct {
 	// parallel to Sim.Windows. SweepNanos entries are measurement, not
 	// simulation state — like StepNanos, they vary between identical runs.
 	Sweeps []sim.SweepObs
-	// Parallel records which chain engine ran.
-	Parallel bool
 	// DirectoryStats summarises the placement directory at end of run
 	// (nil under ResolverAssignment). It is reporting, not replayed state:
 	// both resolvers agree on every other field.
@@ -323,8 +317,7 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		}
 	}
 	scCfg := shardchain.Config{
-		K: cfg.Sim.K, Model: cfg.Model, Chain: cfg.Chain, Parallel: cfg.Parallel,
-		Fault: cfg.Fault,
+		K: cfg.Sim.K, Model: cfg.Model, Chain: cfg.Chain, Fault: cfg.Fault,
 	}
 	if cfg.Resolver == ResolverDirectory {
 		// The simulator's placement stream publishes into the serving
@@ -418,7 +411,7 @@ func Run(gt *sim.GeneratedTrace, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("opsim: %w", err)
 	}
 	r.sc = sc
-	r.res = &Result{Method: simCfg.Method, Model: cfg.Model, K: cfg.Sim.K, Parallel: cfg.Parallel}
+	r.res = &Result{Method: simCfg.Method, Model: cfg.Model, K: cfg.Sim.K}
 	return r.run()
 }
 
@@ -703,8 +696,8 @@ func (r *runner) flushBlock() {
 	r.pendingTxs = r.pendingTxs[:0]
 }
 
-// step drives one chain block, accounting its wall-clock cost so the
-// serial and parallel engines can be compared per block.
+// step drives one chain block, accounting its wall-clock cost (StepNanos)
+// and, with Capture set, folding its receipts into ReceiptsHash.
 func (r *runner) step(txs []*chain.Transaction) []*chain.Receipt {
 	start := time.Now()
 	receipts := r.sc.Step(txs)

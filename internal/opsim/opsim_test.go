@@ -167,48 +167,6 @@ func TestRepartitionDrivesMigrationBatches(t *testing.T) {
 	}
 }
 
-func TestParallelEngineMatchesSerialOverWorkload(t *testing.T) {
-	// The full bridge over a generated workload slice: the parallel
-	// per-shard engine must reproduce the serial engine's windows and
-	// totals bit for bit, under both models (run with -race in CI, this is
-	// also the bridge-level data-race check for the fan-out).
-	gt := smallTrace(t)
-	for _, model := range []shardchain.Model{shardchain.ModelReceipts, shardchain.ModelMigration} {
-		for _, m := range []sim.Method{sim.MethodHash, sim.MethodRMetis} {
-			serialCfg := cfgFor(m, model, 4)
-			parallelCfg := serialCfg
-			parallelCfg.Parallel = true
-			a, err := Run(gt, serialCfg)
-			if err != nil {
-				t.Fatalf("%v/%v serial: %v", m, model, err)
-			}
-			b, err := Run(gt, parallelCfg)
-			if err != nil {
-				t.Fatalf("%v/%v parallel: %v", m, model, err)
-			}
-			if !b.Parallel || a.Parallel {
-				t.Fatalf("%v/%v: engine flags not recorded", m, model)
-			}
-			if a.Totals != b.Totals {
-				t.Errorf("%v/%v: totals diverge:\nserial:   %+v\nparallel: %+v", m, model, a.Totals, b.Totals)
-			}
-			if a.Replayed != b.Replayed || a.Blocks != b.Blocks {
-				t.Errorf("%v/%v: replayed/blocks diverge: %d/%d vs %d/%d",
-					m, model, a.Replayed, a.Blocks, b.Replayed, b.Blocks)
-			}
-			if len(a.Windows) != len(b.Windows) {
-				t.Fatalf("%v/%v: window counts differ: %d vs %d", m, model, len(a.Windows), len(b.Windows))
-			}
-			for i := range a.Windows {
-				if a.Windows[i] != b.Windows[i] {
-					t.Errorf("%v/%v: window %d diverges:\nserial:   %+v\nparallel: %+v",
-						m, model, i, a.Windows[i], b.Windows[i])
-				}
-			}
-		}
-	}
-}
-
 func TestWindowMeanSettlementEmptyDenominator(t *testing.T) {
 	// Regression: a window in which nothing settled must report 0, never
 	// NaN — the ops CSV used to print the raw quotient.

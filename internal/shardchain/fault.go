@@ -7,15 +7,13 @@ import (
 	"time"
 
 	"ethpart/internal/chain"
-	"ethpart/internal/types"
 )
 
 // This file is the chain side of the fault-injection plane (Config.Fault):
 // the per-shard durable log and crash recovery, and the fault-aware
 // delivery channel the barrier exchange routes through when message faults
-// are scheduled. Everything here runs on the coordinator goroutine —
-// injection and recovery happen between the engine fan-out and the barrier
-// exchange, never inside a worker — which keeps every decision in one
+// are scheduled. Injection and recovery run inside Step, after the block's
+// work and before the barrier exchange, which keeps every decision in one
 // deterministic, canonical order.
 
 // walRecord is one shard's durable log entry for the current block: the
@@ -65,10 +63,10 @@ func (sc *ShardChain) pruneSeen() {
 // workShardOf returns the shard doing tx's work this block: the executing
 // shard, or — for a receipts-model cross transaction — the sender's shard
 // (which debits the sender and emits the receipt).
-func (sc *ShardChain) workShardOf(tx *chain.Transaction, h *homes) int {
-	exec := sc.execShardOf(tx, h)
+func (sc *ShardChain) workShardOf(tx *chain.Transaction) int {
+	exec := sc.execShardOf(tx)
 	if sc.cfg.Model == ModelReceipts {
-		if sender := h.of(tx.From); sender != exec {
+		if sender := sc.HomeOf(tx.From); sender != exec {
 			return sender
 		}
 	}
@@ -81,7 +79,7 @@ func (sc *ShardChain) workShardOf(tx *chain.Transaction, h *homes) int {
 // re-settle the journaled inbox, then re-run the shard's slice of the
 // block's transactions. Valid because receipts-model block work is shard-
 // isolated (a shard's work writes only its own state and its own outbox)
-// and first-sight home resolution is pure within a Step, so the replay
+// and receipts-model homes cannot move within a Step, so the replay
 // reproduces the discarded work exactly; it runs before the barrier
 // exchange, so none of the discarded emissions ever left the shard.
 func (sc *ShardChain) recoverShard(s int, txs []*chain.Transaction, receipts []*chain.Receipt) {
@@ -104,23 +102,20 @@ func (sc *ShardChain) recoverShard(s int, txs []*chain.Transaction, receipts []*
 	sc.stats.sub(sc.blockDelta[s])
 	sc.blockDelta[s] = Stats{}
 
-	h := &homes{sc: sc}
 	items := 0
 	inbox := sh.inbox
 	sh.inbox = nil
 	for _, r := range inbox {
 		var eff effects
-		sc.settleOne(s, r, h, &eff, func(to types.Address, calleeHome int) {
-			sc.migrateCallee(to, calleeHome, s, &eff)
-		})
+		sc.settleOne(s, r, &eff)
 		sc.applyEffects(s, &eff)
 		items++
 	}
 	for i, tx := range txs {
-		if sc.workShardOf(tx, h) != s {
+		if sc.workShardOf(tx) != s {
 			continue
 		}
-		receipts[i] = sc.runTxSerial(tx, h)
+		receipts[i] = sc.runTx(tx)
 		items++
 	}
 	inj.Metrics.BlocksReplayed.Add(1)

@@ -105,10 +105,10 @@ func chaosWorkload(seed int64, k, nBlocks int, rich bool) chaosFixture {
 	return fx
 }
 
-func (fx chaosFixture) newChain(t testing.TB, k int, model Model, parallel bool, inj *fault.Injector) *ShardChain {
+func (fx chaosFixture) newChain(t testing.TB, k int, model Model, inj *fault.Injector) *ShardChain {
 	t.Helper()
 	sc, err := New(Config{
-		K: k, Model: model, Chain: chain.DefaultConfig(), Parallel: parallel, Fault: inj,
+		K: k, Model: model, Chain: chain.DefaultConfig(), Fault: inj,
 	}, fx.alloc, fixedAssign(fx.assign))
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +150,14 @@ func requireConverged(t *testing.T, ref, got *ShardChain) {
 	}
 }
 
+func dumpReceipts(rs []*chain.Receipt) string {
+	out := ""
+	for i, r := range rs {
+		out += fmt.Sprintf("\n  [%d] %+v", i, r)
+	}
+	return out
+}
+
 // drain steps both chains on empty blocks until neither has in-flight
 // receipts (the faulty chain's backoff chains can outlast the
 // reference's settle horizon).
@@ -171,34 +179,32 @@ func drainBoth(t *testing.T, ref, got *ShardChain) {
 // shards) and recover from the durable log converges byte-identical —
 // per-block receipts, final stats, state roots and homes — to a fault-
 // free reference, over a rich workload (transfers, token calls, wallet
-// forwards), on both engines and k ∈ {2, 4, 8}. Crash-only schedules
-// leave delivery timing untouched, so even per-step receipts must match.
+// forwards), for k ∈ {2, 4, 8}. Crash-only schedules leave delivery
+// timing untouched, so even per-step receipts must match.
 func TestPropertyCrashRecoveryConvergence(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		for _, k := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("parallel=%v/k=%d", parallel, k), func(t *testing.T) {
-				fx := chaosWorkload(int64(100+k), k, 10, true)
-				inj := mustInjector(t, fault.Schedule{
-					Seed:    7,
-					Crashes: fault.PeriodicCrashes(2, uint64(len(fx.blocks))+40, k),
-				})
-				ref := fx.newChain(t, k, ModelReceipts, parallel, nil)
-				got := fx.newChain(t, k, ModelReceipts, parallel, inj)
-				for b, txs := range fx.blocks {
-					rr, rg := ref.Step(txs), got.Step(txs)
-					if !reflect.DeepEqual(rr, rg) {
-						t.Fatalf("receipts diverge at block %d:\nreference: %s\nfaulty:    %s",
-							b, dumpReceipts(rr), dumpReceipts(rg))
-					}
-				}
-				drainBoth(t, ref, got)
-				requireConverged(t, ref, got)
-				m := inj.Metrics.Snapshot()
-				if m.Crashes == 0 || m.ItemsReplayed == 0 {
-					t.Fatalf("no crashes injected (metrics %+v) — the property was vacuous", m)
-				}
+	for _, k := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			fx := chaosWorkload(int64(100+k), k, 10, true)
+			inj := mustInjector(t, fault.Schedule{
+				Seed:    7,
+				Crashes: fault.PeriodicCrashes(2, uint64(len(fx.blocks))+40, k),
 			})
-		}
+			ref := fx.newChain(t, k, ModelReceipts, nil)
+			got := fx.newChain(t, k, ModelReceipts, inj)
+			for b, txs := range fx.blocks {
+				rr, rg := ref.Step(txs), got.Step(txs)
+				if !reflect.DeepEqual(rr, rg) {
+					t.Fatalf("receipts diverge at block %d:\nreference: %s\nfaulty:    %s",
+						b, dumpReceipts(rr), dumpReceipts(rg))
+				}
+			}
+			drainBoth(t, ref, got)
+			requireConverged(t, ref, got)
+			m := inj.Metrics.Snapshot()
+			if m.Crashes == 0 || m.ItemsReplayed == 0 {
+				t.Fatalf("no crashes injected (metrics %+v) — the property was vacuous", m)
+			}
+		})
 	}
 }
 
@@ -217,8 +223,8 @@ func TestPropertyDuplicateReorderNoOp(t *testing.T) {
 				inj := mustInjector(t, fault.Schedule{
 					Seed: 11, DupAll: true, ShuffleDeliveries: true,
 				})
-				ref := fx.newChain(t, k, model, false, nil)
-				got := fx.newChain(t, k, model, true, inj)
+				ref := fx.newChain(t, k, model, nil)
+				got := fx.newChain(t, k, model, inj)
 				for b, txs := range fx.blocks {
 					rr, rg := ref.Step(txs), got.Step(txs)
 					if !reflect.DeepEqual(rr, rg) {
@@ -251,32 +257,32 @@ func TestPropertyDuplicateReorderNoOp(t *testing.T) {
 // independent of when a credit lands — because cross-block delays
 // legitimately reorder settlement against storage reads.
 func TestMessageFaultsConverge(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
-			const k = 4
-			fx := chaosWorkload(300, k, 12, false)
-			inj := mustInjector(t, fault.Schedule{
-				Seed:     13,
-				DropProb: 0.3, DelayProb: 0.25, DupProb: 0.2,
-				ShuffleDeliveries: true,
-			})
-			ref := fx.newChain(t, k, ModelReceipts, parallel, nil)
-			got := fx.newChain(t, k, ModelReceipts, parallel, inj)
-			for _, txs := range fx.blocks {
-				ref.Step(txs)
-				got.Step(txs)
-			}
-			drainBoth(t, ref, got)
-			requireConverged(t, ref, got)
-			m := inj.Metrics.Snapshot()
-			if m.Dropped == 0 || m.Delayed == 0 || m.Duplicated == 0 {
-				t.Fatalf("fault mix not exercised: %+v", m)
-			}
-			if m.DupsSuppressed != m.Duplicated {
-				t.Fatalf("suppressed %d of %d duplicates", m.DupsSuppressed, m.Duplicated)
-			}
+	// The chain runs serially; the subtest keeps the name it carried when
+	// a parallel engine ran beside it, so per-test history stays continuous.
+	t.Run("parallel=false", func(t *testing.T) {
+		const k = 4
+		fx := chaosWorkload(300, k, 12, false)
+		inj := mustInjector(t, fault.Schedule{
+			Seed:     13,
+			DropProb: 0.3, DelayProb: 0.25, DupProb: 0.2,
+			ShuffleDeliveries: true,
 		})
-	}
+		ref := fx.newChain(t, k, ModelReceipts, nil)
+		got := fx.newChain(t, k, ModelReceipts, inj)
+		for _, txs := range fx.blocks {
+			ref.Step(txs)
+			got.Step(txs)
+		}
+		drainBoth(t, ref, got)
+		requireConverged(t, ref, got)
+		m := inj.Metrics.Snapshot()
+		if m.Dropped == 0 || m.Delayed == 0 || m.Duplicated == 0 {
+			t.Fatalf("fault mix not exercised: %+v", m)
+		}
+		if m.DupsSuppressed != m.Duplicated {
+			t.Fatalf("suppressed %d of %d duplicates", m.DupsSuppressed, m.Duplicated)
+		}
+	})
 }
 
 // TestCrashScheduleRequiresReceiptsModel pins the constructor guard: a
@@ -295,66 +301,6 @@ func TestCrashScheduleRequiresReceiptsModel(t *testing.T) {
 	}
 }
 
-// TestWaveItemPanicGainsShardContext pins satellite behavior in the
-// parallel engine's recover path: a non-sentinel panic escaping a wave
-// item is rethrown wrapped with the shard and transaction index, never
-// mistaken for a migration abort. The item is driven directly (not
-// through Step) because sim.RunIndexed has no recovery — a worker panic
-// would kill the process before the test could observe it.
-func TestWaveItemPanicGainsShardContext(t *testing.T) {
-	a := types.AddressFromSeq(1)
-	bad := types.AddressFromSeq(2)
-	assign := func(addr types.Address) (int, bool) {
-		if addr == bad {
-			panic("injected resolver failure")
-		}
-		return 0, true
-	}
-	sc, err := New(Config{K: 2, Model: ModelReceipts, Chain: chain.DefaultConfig(), Parallel: true},
-		map[types.Address]evm.Word{a: evm.WordFromUint64(1 << 30)}, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deploy the wallet, then forward value through it to an address only
-	// surfaced during EVM execution — the internal call's remote hook is
-	// the one resolution a wave worker performs itself, and the panicking
-	// resolver fires inside the worker's frame.
-	wallet := types.ContractAddress(a, 0)
-	deploy := &chain.Transaction{
-		Nonce: 0, From: a, Data: evm.DeployWrapper(workload.WalletRuntime()),
-		GasLimit: 5_000_000, GasPrice: 0,
-	}
-	for _, r := range sc.Step([]*chain.Transaction{deploy}) {
-		if !r.Success {
-			t.Fatalf("wallet deploy failed: %v", r.Err)
-		}
-	}
-	badWord := evm.WordFromBytes(bad[:]).Bytes32()
-	tx := &chain.Transaction{
-		Nonce: 1, From: a, To: &wallet,
-		Value: evm.WordFromUint64(5), Data: badWord[:], GasLimit: 500_000, GasPrice: 0,
-	}
-	receipts := make([]*chain.Receipt, 1)
-	defer func() {
-		wp, ok := recover().(workerPanic)
-		if !ok {
-			t.Fatalf("panic was not wrapped as workerPanic")
-		}
-		if wp.Shard != 0 || wp.Tx != 0 {
-			t.Fatalf("workerPanic context = shard %d tx %d, want shard 0 tx 0", wp.Shard, wp.Tx)
-		}
-		if wp.Val != "injected resolver failure" {
-			t.Fatalf("workerPanic lost the original value: %v", wp.Val)
-		}
-		if msg := wp.Error(); !strings.Contains(msg, "shard 0 (tx 0)") {
-			t.Fatalf("workerPanic message lacks context: %q", msg)
-		}
-	}()
-	var eff effects
-	sc.runWaveItem(tx, waveItem{idx: 0, work: 0}, &homes{sc: sc}, &eff, receipts, false)
-	t.Fatal("panic did not propagate out of runWaveItem")
-}
-
 // BenchmarkCrashRecovery measures the crash-stop recovery path: shard 0
 // crashes every block and replays its inbox and transaction slice from
 // the durable log.
@@ -365,7 +311,7 @@ func BenchmarkCrashRecovery(b *testing.B) {
 		Seed:    1,
 		Crashes: fault.PeriodicCrashes(1, uint64(b.N)+16, 1),
 	})
-	sc := fx.newChain(b, k, ModelReceipts, false, inj)
+	sc := fx.newChain(b, k, ModelReceipts, inj)
 	sc.Step(fx.blocks[0]) // deploy block
 	accounts := make([]types.Address, 12)
 	for i := range accounts {

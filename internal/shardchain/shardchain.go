@@ -39,13 +39,16 @@
 // materialised yet — the receipts-model reaction, where existing state
 // stays put.
 //
-// # Execution engines
+// # Execution
 //
-// Config.Parallel selects between two engines that produce byte-identical
-// results (receipts, per-shard states, stats, homes): the serial reference
-// engine, and a parallel engine that runs each block's per-shard work on
-// one worker per shard with cross-shard receipts exchanged at the block
-// barrier (see parallel.go and DESIGN.md §8).
+// Step runs one block serially in canonical order: every shard's inbox is
+// settled (shards ascending, delivery order within each), then the block's
+// transactions execute in order. Each unit of work buffers its effects
+// (emitted receipts, stat deltas) and lands them as soon as it finishes;
+// emitted receipts reach their destination inboxes at the block barrier.
+// Step is serial on purpose: a per-shard parallel engine measured no faster
+// under ModelReceipts and 1.3–1.9× slower under ModelMigration (DESIGN.md
+// §8).
 package shardchain
 
 import (
@@ -154,22 +157,14 @@ type Config struct {
 	Model Model
 	// Chain configures every per-shard chain.
 	Chain chain.Config
-	// Parallel runs every block's per-shard settle and execute work on one
-	// worker per shard (a sim.RunIndexed-shaped pool), with outboxes
-	// exchanged at the block barrier. Results are byte-identical to the
-	// serial engine. When set, any assign callback must be safe for
-	// concurrent calls and must answer deterministically for the duration
-	// of one Step.
-	Parallel bool
 	// AssignSnapshot, when non-nil, supplies a frozen placement view per
 	// block: Step calls it once at block start and resolves every
 	// first-sight placement of that block through the returned view
 	// instead of the per-call assign callback. A directory-backed caller
-	// (see internal/directory) returns a pinned epoch snapshot here, which
-	// upgrades the parallel engine's "must answer deterministically for
-	// one Step" contract from a caller promise into a structural guarantee
-	// — a concurrent publisher committing mid-block can never tear a
-	// block's resolutions. Outside Step (genesis allocation, accessors)
+	// (see internal/directory) returns a pinned epoch snapshot here, so a
+	// concurrent publisher committing mid-block can never tear a block's
+	// resolutions: every placement in one block comes from one directory
+	// epoch. Outside Step (genesis allocation, accessors)
 	// the per-call assign callback still answers, so it should resolve
 	// from the same source's current view.
 	AssignSnapshot func() func(types.Address) (int, bool)
@@ -186,15 +181,11 @@ type Config struct {
 // ShardChain is the sharded execution engine.
 //
 // ShardChain is not safe for concurrent use: Step, MigrateAccount, Rehome
-// and the accessors must be called from one goroutine. With
-// Config.Parallel the parallelism lives *inside* Step, which fans work out
-// to per-shard workers and joins them before returning.
+// and the accessors must be called from one goroutine.
 type ShardChain struct {
 	cfg    Config
 	shards []*shard
-	// home maps every known account to its shard. During a parallel phase
-	// the map is read-only: first-sight placements are resolved purely
-	// (resolveHome) and committed at the next barrier.
+	// home maps every known account to its shard.
 	home map[types.Address]int
 	// assign supplies the partition for first-seen accounts; accounts it
 	// does not know fall back to hash placement.
@@ -277,12 +268,9 @@ func New(cfg Config, alloc map[types.Address]evm.Word, assign func(types.Address
 }
 
 // resolveHome computes the first-sight placement of addr without touching
-// the home map: the configured partition decides when it knows the
-// address, otherwise placement falls back to a hash of the address. It is
-// the pure half of HomeOf — parallel workers call it where writing the map
-// would race, and the resolved pairs are committed at the next barrier.
-// Within one Step it is a pure function of the address (the assignment
-// callback must not change mid-block), so resolution order cannot matter.
+// the home map: the block's pinned view (Config.AssignSnapshot) or the
+// assign callback decides when it knows the address, otherwise placement
+// falls back to a hash of the address.
 func (sc *ShardChain) resolveHome(addr types.Address) int {
 	assign := sc.assign
 	if sc.blockAssign != nil {
@@ -338,10 +326,10 @@ type emission struct {
 }
 
 // effects collects the side effects of one unit of work — a receipt
-// settlement or a transaction — so the serial and parallel engines can run
-// the identical item code and differ only in when effects land: applied
-// immediately after the item (serial), or buffered and merged at the next
-// barrier in item order (parallel).
+// settlement or a transaction — and applyEffects lands them once the item
+// finishes. Landing them per item, on the shard that did the work, is what
+// gives the fault plane its canonical receipt-ID order and lets crash
+// recovery subtract exactly one shard's block delta.
 type effects struct {
 	out   []emission
 	stats Stats
@@ -351,11 +339,9 @@ func (e *effects) emit(dst int, r Receipt) { e.out = append(e.out, emission{dst,
 
 // applyEffects lands one item's buffered effects: emissions are appended
 // to the owning shard's per-destination outbox, stat deltas to the chain
-// counters. It always runs on the coordinator in canonical item order —
-// serially inline, at the barrier merge in the parallel engine — which is
-// what lets the fault plane assign receipt IDs here: the assignment order
-// (and so every seeded delivery decision keyed on an ID) is identical for
-// both engines and across repeated runs.
+// counters. It runs in canonical item order, which is what lets the fault
+// plane assign receipt IDs here: the assignment order (and so every seeded
+// delivery decision keyed on an ID) is identical across repeated runs.
 func (sc *ShardChain) applyEffects(src int, eff *effects) {
 	sh := sc.shards[src]
 	for _, em := range eff.out {
@@ -372,63 +358,19 @@ func (sc *ShardChain) applyEffects(src int, eff *effects) {
 	}
 }
 
-// homes is an engine's view of the account→shard map during a phase. The
-// serial engine commits first-sight placements immediately; parallel
-// workers (record mode) resolve them read-only and remember the pairs so
-// the coordinator can commit them at the barrier.
-type homes struct {
-	sc     *ShardChain
-	record bool
-	seen   []homePair
-}
-
-type homePair struct {
-	addr  types.Address
-	shard int
-}
-
-func (h *homes) of(addr types.Address) int {
-	if !h.record {
-		return h.sc.HomeOf(addr)
-	}
-	if s, ok := h.sc.home[addr]; ok {
-		return s
-	}
-	s := h.sc.resolveHome(addr)
-	h.seen = append(h.seen, homePair{addr, s})
-	return s
-}
-
-// commitHomes lands first-sight resolutions recorded by parallel workers.
-// An address may have been resolved by several workers (same pure value)
-// or already committed by a serialized path; existing entries win.
-func (sc *ShardChain) commitHomes(pairs []homePair) {
-	for _, p := range pairs {
-		if _, ok := sc.home[p.addr]; !ok {
-			sc.home[p.addr] = p.shard
-		}
-	}
-}
-
-// onRemoteCallee is the migration-model reaction to an internal call whose
-// callee is homed on another shard: the serial engine migrates the callee
-// inline and continues, parallel workers abort the item instead (conflict
-// protocol, see parallel.go). calleeHome is the callee's current home.
-type onRemoteCallee func(to types.Address, calleeHome int)
-
 // hookFor returns the RemoteHook for internal calls that leave shard s.
 // Under ModelReceipts the call is diverted into a cross-shard receipt.
-// Under ModelMigration the callee is brought to the executing shard (via
-// onRemote) and the call continues locally — never a receipt, matching the
-// model's contract that every remote participant's state is migrated.
-func (sc *ShardChain) hookFor(s int, h *homes, eff *effects, onRemote onRemoteCallee) evm.RemoteHook {
+// Under ModelMigration the callee is brought to shard s (migrateCallee)
+// and the call continues locally — never a receipt, matching the model's
+// contract that every remote participant's state is migrated.
+func (sc *ShardChain) hookFor(s int, eff *effects) evm.RemoteHook {
 	return func(from, to types.Address, value evm.Word, input []byte) bool {
-		dst := h.of(to)
+		dst := sc.HomeOf(to)
 		if dst == s {
 			return false // local: execute normally
 		}
 		if sc.cfg.Model == ModelMigration {
-			onRemote(to, dst)
+			sc.migrateCallee(to, dst, s, eff)
 			return false // callee is local now: execute normally
 		}
 		eff.emit(dst, Receipt{
@@ -445,7 +387,7 @@ func (sc *ShardChain) hookFor(s int, h *homes, eff *effects, onRemote onRemoteCa
 // shard exec: a materialised callee migrates with its full state; one that
 // has no state anywhere is simply re-homed (moving nothing would fabricate
 // an empty account and count a phantom migration, as MigrateAccount also
-// refuses to do). Serial contexts only.
+// refuses to do).
 func (sc *ShardChain) migrateCallee(to types.Address, calleeHome, exec int, eff *effects) {
 	if sc.shards[calleeHome].state.Exist(to) {
 		sc.migrateInto(to, calleeHome, exec, &eff.stats)
@@ -462,12 +404,11 @@ func (sc *ShardChain) migrateCallee(to types.Address, calleeHome, exec int, eff 
 // home, resurrecting exactly the ghost state migration purges. So delivery
 // re-checks the home and forwards the receipt (one more message, one more
 // block of latency), like any routed settlement layer.
-func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, onRemote onRemoteCallee) {
+func (sc *ShardChain) settleOne(s int, r Receipt, eff *effects) {
 	// Idempotence under redelivery: each delivery hop carries a unique ID,
 	// and the shard's seen journal suppresses a re-delivered hop before any
 	// effect — including the forward below, or a duplicate would fork into
 	// two fresh-ID deliveries downstream that no later dedup could relate.
-	// Workers touch only their own shard's journal, so no lock is needed.
 	if sc.cfg.Fault != nil && r.ID != 0 {
 		if _, dup := sc.shards[s].seen[r.ID]; dup {
 			sc.cfg.Fault.Metrics.DupsSuppressed.Add(1)
@@ -475,7 +416,7 @@ func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, onRemo
 		}
 		sc.shards[s].seen[r.ID] = sc.clock
 	}
-	if home := h.of(r.To); home != s {
+	if home := sc.HomeOf(r.To); home != s {
 		fwd := r
 		// A forwarded receipt is a new delivery hop: it gets a fresh ID at
 		// the barrier (a legitimate revisit after a home flip must not be
@@ -495,7 +436,7 @@ func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, onRemo
 	// the "continuation" of the cross-shard call.
 	if code := st.GetCode(r.To); len(code) > 0 {
 		vm := evm.New(st)
-		vm.SetRemoteHook(sc.hookFor(s, h, eff, onRemote))
+		vm.SetRemoteHook(sc.hookFor(s, eff))
 		// Continuation gas is bounded; failures are absorbed (the value
 		// has already moved, as in asynchronous designs).
 		_, _, _ = vm.Call(r.From, r.To, evm.Word{}, r.Input, 2_000_000)
@@ -505,11 +446,11 @@ func (sc *ShardChain) settleOne(s int, r Receipt, h *homes, eff *effects, onRemo
 
 // execShardOf is where tx executes: the home of its target, or of its
 // sender for creation transactions.
-func (sc *ShardChain) execShardOf(tx *chain.Transaction, h *homes) int {
+func (sc *ShardChain) execShardOf(tx *chain.Transaction) int {
 	if tx.IsCreate() {
-		return h.of(tx.From)
+		return sc.HomeOf(tx.From)
 	}
-	return h.of(*tx.To)
+	return sc.HomeOf(*tx.To)
 }
 
 // crossEmit is the receipts-model cross path, run on the sender's shard:
@@ -518,8 +459,7 @@ func (sc *ShardChain) execShardOf(tx *chain.Transaction, h *homes) int {
 // debited here (fee plumbing is omitted, see runLocal), so only the value
 // is required — and a nonce failure is reported as what it is, matching
 // the semantics of chain.ApplyTransaction.
-// retain keeps the state journal (parallel waves; see runLocal).
-func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects, retain bool) *chain.Receipt {
+func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *effects) *chain.Receipt {
 	st := sc.shards[sender].state
 	if st.GetNonce(tx.From) != tx.Nonce {
 		eff.stats.Failed++
@@ -533,9 +473,7 @@ func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *ef
 	}
 	st.SubBalance(tx.From, tx.Value)
 	st.SetNonce(tx.From, tx.Nonce+1)
-	if !retain {
-		st.DiscardJournal()
-	}
+	st.DiscardJournal()
 	eff.emit(exec, Receipt{
 		From: tx.From, To: *tx.To, Value: tx.Value,
 		Input: append([]byte(nil), tx.Data...),
@@ -550,20 +488,10 @@ func (sc *ShardChain) crossEmit(sender, exec int, tx *chain.Transaction, eff *ef
 // internal calls that leave the shard. By the time a transaction reaches
 // local execution it counts as local: receipts-model cross transactions
 // took the crossEmit path, migration-model ones were made local by moving
-// the sender first. retain keeps the state journal for the parallel
-// engine's conflict rollback (content-identical either way). The miner fee
-// plumbing is omitted: shardchain measures message and migration costs,
-// not fee flows.
-func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, h *homes, eff *effects, onRemote onRemoteCallee, retain bool) *chain.Receipt {
-	st := sc.shards[s].state
-	hook := sc.hookFor(s, h, eff, onRemote)
-	var receipt *chain.Receipt
-	var err error
-	if retain {
-		receipt, err = chain.ApplyTransactionRetained(st, tx, types.Address{}, hook)
-	} else {
-		receipt, err = chain.ApplyTransactionHooked(st, tx, types.Address{}, hook)
-	}
+// the sender first. The miner fee plumbing is omitted: shardchain measures
+// message and migration costs, not fee flows.
+func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, eff *effects) *chain.Receipt {
+	receipt, err := chain.ApplyTransactionHooked(sc.shards[s].state, tx, types.Address{}, sc.hookFor(s, eff))
 	if err != nil {
 		eff.stats.Failed++
 		return &chain.Receipt{TxHash: tx.Hash(), Success: false, Err: err}
@@ -572,16 +500,13 @@ func (sc *ShardChain) runLocal(s int, tx *chain.Transaction, h *homes, eff *effe
 	return receipt
 }
 
-// runTxSerial executes one transaction with full serial semantics — the
-// sender of a migration-model cross transaction migrates inline, as do
-// remote callees of internal calls — and applies its effects immediately.
-// It is the whole per-transaction serial engine, and doubles as the
-// parallel engine's serialized path for migration barriers and conflict
-// re-execution.
-func (sc *ShardChain) runTxSerial(tx *chain.Transaction, h *homes) *chain.Receipt {
+// runTx executes one transaction — the sender of a migration-model cross
+// transaction migrates inline, as do remote callees of internal calls —
+// and applies its effects immediately.
+func (sc *ShardChain) runTx(tx *chain.Transaction) *chain.Receipt {
 	var eff effects
-	exec := sc.execShardOf(tx, h)
-	sender := h.of(tx.From)
+	exec := sc.execShardOf(tx)
+	sender := sc.HomeOf(tx.From)
 	cross := sender != exec
 
 	if sc.cfg.Model == ModelMigration && cross {
@@ -594,11 +519,9 @@ func (sc *ShardChain) runTxSerial(tx *chain.Transaction, h *homes) *chain.Receip
 	work := exec
 	if cross { // ModelReceipts
 		work = sender
-		receipt = sc.crossEmit(sender, exec, tx, &eff, false)
+		receipt = sc.crossEmit(sender, exec, tx, &eff)
 	} else {
-		receipt = sc.runLocal(exec, tx, h, &eff, func(to types.Address, calleeHome int) {
-			sc.migrateCallee(to, calleeHome, exec, &eff)
-		}, false)
+		receipt = sc.runLocal(exec, tx, &eff)
 	}
 	sc.applyEffects(work, &eff)
 	return receipt
@@ -631,11 +554,10 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 			}
 		}
 	}
-	var receipts []*chain.Receipt
-	if sc.cfg.Parallel {
-		receipts = sc.stepParallel(txs)
-	} else {
-		receipts = sc.stepSerial(txs)
+	sc.settleInboxes()
+	receipts := make([]*chain.Receipt, len(txs))
+	for i, tx := range txs {
+		receipts[i] = sc.runTx(tx)
 	}
 	if sc.cfg.Fault != nil {
 		for _, s := range sc.cfg.Fault.CrashedShards(sc.clock) {
@@ -653,33 +575,15 @@ func (sc *ShardChain) Step(txs []*chain.Transaction) []*chain.Receipt {
 	return receipts
 }
 
-// stepSerial is the reference engine: settle then execute, one item at a
-// time in canonical order (shards ascending for settlement, transaction
-// order for execution).
-func (sc *ShardChain) stepSerial(txs []*chain.Transaction) []*chain.Receipt {
-	h := &homes{sc: sc}
-	sc.settleInboxesSerial(h)
-	receipts := make([]*chain.Receipt, len(txs))
-	for i, tx := range txs {
-		receipts[i] = sc.runTxSerial(tx, h)
-	}
-	return receipts
-}
-
-// settleInboxesSerial drains every shard's inbox one receipt at a time in
-// canonical order (shards ascending, delivery order within each), with the
-// serial callee reaction armed. Shared by the serial engine and the
-// parallel engine's migration-model settle fallback so the two cannot
-// drift.
-func (sc *ShardChain) settleInboxesSerial(h *homes) {
+// settleInboxes drains every shard's inbox one receipt at a time in
+// canonical order (shards ascending, delivery order within each).
+func (sc *ShardChain) settleInboxes() {
 	for i, sh := range sc.shards {
 		inbox := sh.inbox
 		sh.inbox = nil
 		for _, r := range inbox {
 			var eff effects
-			sc.settleOne(i, r, h, &eff, func(to types.Address, calleeHome int) {
-				sc.migrateCallee(to, calleeHome, i, &eff)
-			})
+			sc.settleOne(i, r, &eff)
 			sc.applyEffects(i, &eff)
 		}
 	}
@@ -688,10 +592,9 @@ func (sc *ShardChain) settleInboxesSerial(h *homes) {
 // exchangeOutboxes delivers every outbox into the destination inboxes at
 // the block barrier, in canonical (source-shard, emission-order) order:
 // shard dst's next inbox is the concatenation of outbox[src][dst] for src
-// ascending, each in emission order. Both engines exchange identically, so
-// inbox contents — and therefore every later settlement — match
-// byte-for-byte. With message faults armed the exchange routes through
-// the fault-aware channel instead (exchangeFaulty, fault.go).
+// ascending, each in emission order. With message faults armed the
+// exchange routes through the fault-aware channel instead (exchangeFaulty,
+// fault.go).
 func (sc *ShardChain) exchangeOutboxes() {
 	if sc.cfg.Fault != nil && sc.cfg.Fault.HasMessageFaults() {
 		sc.exchangeFaulty()
@@ -719,8 +622,8 @@ func (sc *ShardChain) migrate(addr types.Address, from, to int) {
 	sc.migrateInto(addr, from, to, &sc.stats)
 }
 
-// migrateInto is migrate with an explicit stats sink, so per-item engines
-// can buffer the counter deltas alongside the item's other effects.
+// migrateInto is migrate with an explicit stats sink, so a unit of work
+// buffers the counter deltas alongside its other effects.
 func (sc *ShardChain) migrateInto(addr types.Address, from, to int, stats *Stats) {
 	src := sc.shards[from].state
 	dst := sc.shards[to].state

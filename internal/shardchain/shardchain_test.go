@@ -116,6 +116,9 @@ func TestCrossTransferViaMigration(t *testing.T) {
 	if got := sc.StateOf(0).GetBalance(alice); !got.IsZero() {
 		t.Errorf("alice left balance behind: %v", got)
 	}
+	if sc.StateOf(0).Exist(alice) {
+		t.Error("source shard must not keep alice's state after the sender migration")
+	}
 	st := sc.Stats()
 	if st.Migrations != 1 || st.Messages != 1 {
 		t.Errorf("stats = %+v", st)

@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics the figures need:
 // five-number summaries for Fig. 4's box-and-whisker plots, Gaussian kernel
-// density estimates for its violin overlays, histograms, and log-linear
-// growth fits used to characterise Fig. 1's growth regimes.
+// density estimates for its violin overlays, and log-linear growth fits
+// used to characterise Fig. 1's growth regimes.
 package stats
 
 import (
@@ -113,36 +113,6 @@ func KDE(xs []float64, points int) (positions, densities []float64) {
 	return positions, densities
 }
 
-// Histogram bins xs into `bins` equal-width buckets over [min, max] and
-// returns the bucket left edges and counts.
-func Histogram(xs []float64, bins int) (edges []float64, counts []int) {
-	if len(xs) == 0 || bins <= 0 {
-		return nil, nil
-	}
-	s := Summarize(xs)
-	lo, hi := s.Min, s.Max
-	if lo == hi {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(bins)
-	edges = make([]float64, bins)
-	counts = make([]int, bins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts
-}
-
 // LinearFit fits y = a + b·x by least squares and returns the intercept,
 // slope and coefficient of determination.
 func LinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
@@ -191,32 +161,6 @@ func LogLinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
 		logs[i] = math.Log(y)
 	}
 	return LinearFit(xs, logs)
-}
-
-// ParetoAlphaMLE estimates the tail index α of a power-law (Pareto)
-// distribution from the samples ≥ xmin using the Hill maximum-likelihood
-// estimator: α = n / Σ ln(x_i/xmin). Heavy-tailed (power-law-like) data
-// has small α (typically 1–3 for degree distributions); light-tailed data
-// yields large values. It returns the estimate and the tail sample count.
-func ParetoAlphaMLE(xs []float64, xmin float64) (alpha float64, n int, err error) {
-	if xmin <= 0 {
-		return 0, 0, fmt.Errorf("stats: xmin must be positive, got %v", xmin)
-	}
-	var sum float64
-	for _, x := range xs {
-		if x < xmin {
-			continue
-		}
-		sum += math.Log(x / xmin)
-		n++
-	}
-	if n == 0 {
-		return 0, 0, fmt.Errorf("stats: no samples >= xmin %v", xmin)
-	}
-	if sum == 0 {
-		return math.Inf(1), n, nil // all mass at xmin: infinitely light tail
-	}
-	return float64(n) / sum, n, nil
 }
 
 func stddev(xs []float64, mean float64) float64 {
