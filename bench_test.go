@@ -727,6 +727,50 @@ func BenchmarkDirectoryWaveCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkDirectoryColdCommit measures one-entry commits against a
+// directory whose cold tier holds almost every entry — the decay-mode shape,
+// where retirements and re-hydrations touch the cold tier every window.
+// Each op alternately retires the one hot entry and re-hydrates it with a
+// Set. A commit copies only the page it touches, so ns/op and B/op must
+// stay flat across the 10× spread in cold-tier size.
+func BenchmarkDirectoryColdCommit(b *testing.B) {
+	for _, cold := range []int{16_000, 160_000} {
+		b.Run(fmt.Sprintf("cold=%dk", cold/1000), func(b *testing.B) {
+			d := directory.New(directory.Config{})
+			set := make([]directory.Move, cold+1)
+			retire := make([]graph.VertexID, cold)
+			for i := range set {
+				set[i] = directory.Move{V: graph.VertexID(i), To: i % 8}
+			}
+			for i := range retire {
+				retire[i] = graph.VertexID(i)
+			}
+			if _, err := d.Commit(directory.Batch{Set: set}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.Commit(directory.Batch{Retire: retire}); err != nil {
+				b.Fatal(err)
+			}
+			hot := graph.VertexID(cold)
+			ops := [2]directory.Batch{
+				{Retire: []graph.VertexID{hot}},
+				{Set: []directory.Move{{V: hot, To: 1}}},
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Commit(ops[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if got := d.Current().ColdLen(); got < cold {
+				b.Fatalf("cold tier shrank to %d entries, want at least %d", got, cold)
+			}
+		})
+	}
+}
+
 // BenchmarkWorkloadGeneration measures the synthetic-history generator
 // itself (chain + EVM execution throughput).
 func BenchmarkWorkloadGeneration(b *testing.B) {

@@ -11,18 +11,15 @@
 // with one atomic store. A repartition's whole move set commits as a single
 // epoch flip: no reader can ever observe half a wave.
 //
-// Storage is two-tiered, mirroring the dense/spill split of the partition
-// and graph packages:
-//
-//   - the hot tier is a paged dense table (VertexID-indexed, fixed-size
-//     copy-on-write pages), sized for the live account population that
-//     placement and repartitioning actually touch;
-//   - the cold tier is a compact map holding sticky assignments of retired
-//     accounts (and of IDs outside the dense region). Retirement spills an
-//     entry from a page into the cold map; when the spill empties a page
-//     the page is dropped entirely, so the hot tier's footprint follows the
-//     live set instead of the full history — the directory's absorption of
-//     the "horizon-aware assignment compaction" roadmap item.
+// Storage is one paged table, mirroring the dense/spill split of the
+// partition and graph packages: every dense ID (below hotIDLimit) owns one
+// int32 slot in fixed-size copy-on-write pages, and the slot carries both
+// the shard and the entry's tier — hot (live accounts that placement and
+// repartitioning touch) or cold (sticky assignments of retired accounts)
+// — as one tier bit. Retiring, promoting and re-hydrating an entry flip
+// that bit in place, so a commit copies only the pages its batch touches,
+// whatever the size of the retired population. IDs at or above hotIDLimit
+// live in a small copy-on-write spill map and are always cold.
 //
 // A bounded journal retains the last JournalDepth snapshots by epoch, so a
 // reader that pinned epoch E mid-flight can re-acquire exactly that view
@@ -32,6 +29,7 @@ package directory
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -42,11 +40,20 @@ import (
 // never seen.
 const NoShard = -1
 
-// noShard is the unoccupied-entry sentinel inside hot pages.
+// noShard is the unoccupied-slot sentinel inside pages.
 const noShard int32 = -1
 
+// coldBit is the tier bit of a slot: set for cold-tier entries. An
+// occupied slot is the shard with coldBit or'ed in, so hot slots lie in
+// [0, coldBit), cold slots in [coldBit, 1<<31), and noShard below both.
+const coldBit int32 = 1 << 30
+
+// MaxShard is the largest shard a slot can hold next to its tier bit.
+// Commit rejects any target or shard count above it.
+const MaxShard = int(coldBit - 1)
+
 const (
-	// pageBits sizes the hot tier's copy-on-write pages: 1<<pageBits
+	// pageBits sizes the table's copy-on-write pages: 1<<pageBits
 	// entries (4 KiB of int32s). Small enough that a single placement's
 	// page copy is cheap, large enough that the page-pointer table stays
 	// tiny (one pointer per 1024 accounts).
@@ -55,13 +62,13 @@ const (
 	pageMask = pageSize - 1
 )
 
-// hotIDLimit bounds the paged hot tier, matching the dense ID region of
-// the graph and partition packages (IDs come from the trace registry,
-// which assigns them densely from zero). Callers minting VertexIDs from
-// address bits land in the cold map instead of forcing giant page tables.
+// hotIDLimit bounds the paged table, matching the dense ID region of the
+// graph and partition packages (IDs come from the trace registry, which
+// assigns them densely from zero). Callers minting VertexIDs from address
+// bits land in the spill map instead of forcing giant page tables.
 const hotIDLimit = graph.VertexID(1) << 22
 
-// page is one fixed-size block of the hot tier. Pages reachable from a
+// page is one fixed-size block of the table. Pages reachable from a
 // published snapshot are immutable; a writer copies a page before its
 // first write of a commit.
 type page [pageSize]int32
@@ -78,15 +85,14 @@ type Snapshot struct {
 	// against a pinned view can never pair an old k with a new mapping (or
 	// vice versa), however many resizes the writer commits meanwhile.
 	shards int
-	// pages is the hot tier; nil entries are wholly unoccupied (or
-	// compacted-away) pages.
+	// pages is the table of dense-ID slots, both tiers; nil entries are
+	// pages no commit has written yet.
 	pages []*page
-	// cold is the cold tier: retired sticky assignments plus out-of-range
-	// IDs. May be nil when nothing has ever spilled. Hot and cold are
-	// disjoint: a vertex lives in exactly one tier.
-	cold map[graph.VertexID]int32
-	// hot and entries count occupied hot-tier slots and total mapped
-	// vertices (hot + cold).
+	// spill holds the slots (always cold) of IDs at or above hotIDLimit.
+	// Nil until such an ID is first mapped.
+	spill map[graph.VertexID]int32
+	// hot and entries count hot-tier slots and total mapped vertices
+	// (hot + cold).
 	hot, entries int
 }
 
@@ -108,68 +114,64 @@ func (s *Snapshot) HotLen() int { return s.hot }
 // ColdLen returns the number of cold-tier (retired/spilled) entries.
 func (s *Snapshot) ColdLen() int { return s.entries - s.hot }
 
-// Lookup returns the shard of v in this view. The hot tier is a bounds
-// check, two loads and a compare; only misses (unknown or retired
-// vertices) touch the cold map.
-func (s *Snapshot) Lookup(v graph.VertexID) (int, bool) {
+// slot returns v's slot in this view: noShard when unmapped, otherwise the
+// shard with coldBit set for cold-tier entries. A dense ID is a bounds
+// check and two loads.
+func (s *Snapshot) slot(v graph.VertexID) int32 {
 	if v < hotIDLimit {
 		if p := int(v >> pageBits); p < len(s.pages) {
 			if pg := s.pages[p]; pg != nil {
-				if sh := pg[v&pageMask]; sh != noShard {
-					return int(sh), true
-				}
+				return pg[v&pageMask]
 			}
 		}
+		return noShard
 	}
-	if s.cold != nil {
-		if sh, ok := s.cold[v]; ok {
-			return int(sh), true
-		}
+	return s.spilled(v)
+}
+
+// spilled is slot's path for IDs at or above hotIDLimit, kept out of line
+// so slot stays small enough to inline into LookupTier.
+func (s *Snapshot) spilled(v graph.VertexID) int32 {
+	if sl, ok := s.spill[v]; ok {
+		return sl
 	}
-	return NoShard, false
+	return noShard
+}
+
+// Lookup returns the shard of v in this view.
+func (s *Snapshot) Lookup(v graph.VertexID) (int, bool) {
+	shard, _, ok := s.LookupTier(v)
+	return shard, ok
 }
 
 // LookupTier is Lookup plus tier information: cold reports whether the
 // answer came from the cold tier. The serving front end uses it to emit
 // promotion hints for hot-again accounts without taking any lock.
 func (s *Snapshot) LookupTier(v graph.VertexID) (shard int, cold, ok bool) {
-	if v < hotIDLimit {
-		if p := int(v >> pageBits); p < len(s.pages) {
-			if pg := s.pages[p]; pg != nil {
-				if sh := pg[v&pageMask]; sh != noShard {
-					return int(sh), false, true
-				}
-			}
-		}
+	sl := s.slot(v)
+	if sl < 0 {
+		return NoShard, false, false
 	}
-	if s.cold != nil {
-		if sh, ok := s.cold[v]; ok {
-			return int(sh), true, true
-		}
-	}
-	return NoShard, false, false
+	return int(sl &^ coldBit), sl >= coldBit, true
 }
 
-// Each calls fn for every mapped vertex of the view: hot tier in ascending
-// ID order, then cold entries in unspecified order. Stops early when fn
-// returns false.
+// Each calls fn for every mapped vertex of the view: dense IDs in
+// ascending order across both tiers, then spilled IDs (at or above
+// hotIDLimit) in unspecified order. Stops early when fn returns false.
 func (s *Snapshot) Each(fn func(v graph.VertexID, shard int) bool) {
 	for p, pg := range s.pages {
 		if pg == nil {
 			continue
 		}
 		base := graph.VertexID(p) << pageBits
-		for i, sh := range pg {
-			if sh == noShard {
-				continue
-			}
-			if !fn(base+graph.VertexID(i), int(sh)) {
+		for i, sl := range pg {
+			if sl >= 0 && !fn(base+graph.VertexID(i), int(sl&^coldBit)) {
 				return
 			}
 		}
 	}
-	for v, sh := range s.cold {
-		if !fn(v, int(sh)) {
+	for v, sl := range s.spill {
+		if !fn(v, int(sl&^coldBit)) {
 			return
 		}
 	}
@@ -184,20 +186,21 @@ type Move struct {
 // Batch is the unit of atomicity: everything in one Batch becomes visible
 // together, as a single epoch flip.
 //
-// Set entries update the mapping wherever the vertex currently lives: a
-// new vertex joins the hot tier, an existing hot entry is overwritten in
-// place, and a cold (retired) entry is promoted back into the hot tier —
-// a repartition moving a sticky assignment re-hydrates it. SetCold entries
-// update the mapping *without* changing tiers: hot stays hot, cold stays
-// cold, unknown vertices join the cold tier — the shape of a merge wave
+// Set entries write the vertex's slot with the tier bit clear: a new
+// vertex joins the hot tier, an existing hot entry is overwritten in
+// place, and a cold (retired) entry is re-hydrated into the hot tier — a
+// repartition moving a sticky assignment re-hydrates it. SetCold entries
+// write the slot and keep its tier bit: hot stays hot, cold stays cold,
+// unknown vertices join the cold tier — the shape of a merge wave
 // remapping retired sticky assignments off a decommissioned shard, which
-// must not re-hydrate dead history into the hot tier. Retire entries spill
-// the vertex's current hot mapping into the cold map (no-ops for vertices
-// already cold or never seen). Promote entries re-hydrate cold entries
-// back into the hot tier at their current shard — the promotion-on-access
-// lane fed by the read-side hint ring; a promotion never changes a
-// lookup's answer and is a no-op for hot, unknown, or out-of-range
-// vertices, so duplicated or stale hints are harmless.
+// must not re-hydrate dead history into the hot tier. Retire entries set
+// the tier bit of a hot entry (no-ops for vertices already cold or never
+// seen). Promote entries clear the tier bit of a cold entry, keeping its
+// shard — the promotion-on-access lane fed by the read-side hint ring; a
+// promotion never changes a lookup's answer and is a no-op for hot,
+// unknown, or out-of-range vertices, so duplicated or stale hints are
+// harmless. Out-of-range vertices (at or above hotIDLimit) are cold
+// whichever lane writes them.
 //
 // Shards, when positive, declares the shard count the batch's mappings are
 // expressed against; it becomes the snapshot's epoch-consistent Shards().
@@ -234,10 +237,6 @@ type Directory struct {
 	journalDepth int
 	journal      []*Snapshot // ring, len == journalDepth
 	jhead        int
-
-	// pageLive counts occupied slots per hot page (writer-owned; guarded
-	// by mu) so retirement can drop pages that empty out.
-	pageLive []int32
 
 	// Cumulative writer-side counters (guarded by mu).
 	flips, waveFlips, retired, rehydrated, promoted uint64
@@ -358,33 +357,21 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	// Validate the whole batch before touching any writer state: a
-	// mid-batch rejection after mutating d.pageLive would leave the
-	// occupancy bookkeeping out of sync with the (discarded) snapshot,
-	// silently disabling page-drop compaction for the affected pages.
+	// Validate the whole batch before touching any writer state, so a
+	// rejected batch leaves no trace: no epoch, no counter, no slot.
 	cur := d.view.Load()
-	if b.Shards < 0 {
-		return 0, fmt.Errorf("directory: negative shard count %d", b.Shards)
+	if b.Shards < 0 || b.Shards > MaxShard {
+		return 0, fmt.Errorf("directory: shard count %d out of range [0,%d]", b.Shards, MaxShard)
 	}
 	shards := cur.shards
 	if b.Shards > 0 {
 		shards = b.Shards
 	}
-	for _, m := range b.Set {
-		if m.To < 0 {
-			return 0, fmt.Errorf("directory: set %d: negative shard %d", m.V, m.To)
-		}
-		if shards > 0 && m.To >= shards {
-			return 0, fmt.Errorf("directory: set %d: shard %d out of range [0,%d)", m.V, m.To, shards)
-		}
+	if err := checkTargets("set", b.Set, shards); err != nil {
+		return 0, err
 	}
-	for _, m := range b.SetCold {
-		if m.To < 0 {
-			return 0, fmt.Errorf("directory: set-cold %d: negative shard %d", m.V, m.To)
-		}
-		if shards > 0 && m.To >= shards {
-			return 0, fmt.Errorf("directory: set-cold %d: shard %d out of range [0,%d)", m.V, m.To, shards)
-		}
+	if err := checkTargets("set-cold", b.SetCold, shards); err != nil {
+		return 0, err
 	}
 	if b.Shards > 0 && cur.shards > 0 && b.Shards < cur.shards {
 		// Shrinking: every existing mapping at or above the new count must
@@ -421,147 +408,90 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 		epoch:   cur.epoch + 1,
 		shards:  shards,
 		pages:   cur.pages,
-		cold:    cur.cold,
+		spill:   cur.spill,
 		hot:     cur.hot,
 		entries: cur.entries,
 	}
 	// Copy-on-write bookkeeping for this commit: which pages (and whether
-	// the page table and cold map) are already private to next.
-	var pagesOwned, coldOwned bool
+	// the page table and spill map) are already private to next.
+	var pagesOwned, spillOwned bool
 	owned := make(map[int]bool)
 
-	ownPages := func(minLen int) {
-		if !pagesOwned || len(next.pages) < minLen {
-			grown := make([]*page, max(minLen, len(next.pages)))
+	ownPage := func(p int) *page {
+		if !pagesOwned || p >= len(next.pages) {
+			grown := make([]*page, max(p+1, len(next.pages)))
 			copy(grown, next.pages)
 			next.pages = grown
 			pagesOwned = true
 		}
-		if len(d.pageLive) < len(next.pages) {
-			d.pageLive = append(d.pageLive, make([]int32, len(next.pages)-len(d.pageLive))...)
+		if !owned[p] {
+			np := new(page)
+			if old := next.pages[p]; old != nil {
+				*np = *old
+			} else {
+				for i := range np {
+					np[i] = noShard
+				}
+			}
+			next.pages[p] = np
+			owned[p] = true
 		}
+		return next.pages[p]
 	}
-	ownPage := func(p int) *page {
-		ownPages(p + 1)
-		if owned[p] {
-			return next.pages[p]
-		}
-		var np page
-		if old := next.pages[p]; old != nil {
-			np = *old
+	// put writes v's slot in next, keeps the counts in step, and returns
+	// the slot it replaced. Spilled IDs are forced cold.
+	put := func(v graph.VertexID, sl int32) int32 {
+		old := next.slot(v)
+		if v < hotIDLimit {
+			ownPage(int(v >> pageBits))[v&pageMask] = sl
 		} else {
-			for i := range np {
-				np[i] = noShard
+			if !spillOwned {
+				spill := make(map[graph.VertexID]int32, len(next.spill)+1)
+				maps.Copy(spill, next.spill)
+				next.spill = spill
+				spillOwned = true
 			}
+			sl |= coldBit
+			next.spill[v] = sl
 		}
-		next.pages[p] = &np
-		owned[p] = true
-		return &np
-	}
-	ownCold := func() map[graph.VertexID]int32 {
-		if !coldOwned {
-			nc := make(map[graph.VertexID]int32, len(next.cold)+len(b.Set))
-			for k, v := range next.cold {
-				nc[k] = v
-			}
-			next.cold = nc
-			coldOwned = true
+		switch {
+		case old < 0:
+			next.entries++
+		case old < coldBit:
+			next.hot--
 		}
-		return next.cold
+		if sl < coldBit {
+			next.hot++
+		}
+		return old
 	}
 
 	for _, m := range b.Set {
-		if m.V >= hotIDLimit {
-			// Out-of-range IDs live in the cold map permanently.
-			cold := ownCold()
-			if _, ok := cold[m.V]; !ok {
-				next.entries++
-			}
-			cold[m.V] = int32(m.To)
-			continue
+		if old := put(m.V, int32(m.To)); old >= coldBit && m.V < hotIDLimit {
+			d.rehydrated++
 		}
-		p := int(m.V >> pageBits)
-		pg := ownPage(p)
-		slot := m.V & pageMask
-		if pg[slot] == noShard {
-			// Hot miss: brand new, or a cold entry re-hydrating. Promotion
-			// deletes the cold copy so the tiers stay disjoint.
-			if next.cold != nil {
-				if _, ok := next.cold[m.V]; ok {
-					delete(ownCold(), m.V)
-					next.entries--
-					d.rehydrated++
-				}
-			}
-			next.hot++
-			next.entries++
-			d.pageLive[p]++
-		}
-		pg[slot] = int32(m.To)
 	}
-
 	for _, m := range b.SetCold {
-		// In-place, tier-preserving update: hot entries change under their
-		// page, everything else lands (or stays) in the cold map.
-		if m.V < hotIDLimit {
-			p := int(m.V >> pageBits)
-			if p < len(next.pages) && next.pages[p] != nil && next.pages[p][m.V&pageMask] != noShard {
-				ownPage(p)[m.V&pageMask] = int32(m.To)
-				continue
-			}
+		tier := coldBit // unknown vertices join the cold tier
+		if old := next.slot(m.V); old >= 0 {
+			tier = old & coldBit
 		}
-		cold := ownCold()
-		if _, ok := cold[m.V]; !ok {
-			next.entries++
-		}
-		cold[m.V] = int32(m.To)
+		put(m.V, int32(m.To)|tier)
 	}
-
 	for _, v := range b.Promote {
-		// Promotion-on-access: move a cold entry back to the hot tier at
-		// its current shard. Mapping, Len and every Lookup answer are
-		// unchanged — only the tier moves — so replicas applying the same
-		// stream converge on the same mapping regardless of hint timing.
-		if v >= hotIDLimit || next.cold == nil {
-			continue // permanently cold, or nothing spilled yet
+		// Promotion-on-access: only the tier moves, never the shard, so
+		// replicas applying the same stream converge on the same mapping
+		// regardless of hint timing.
+		if old := next.slot(v); old >= coldBit && v < hotIDLimit {
+			put(v, old&^coldBit)
+			d.promoted++
 		}
-		sh, ok := next.cold[v]
-		if !ok {
-			continue // already hot, or never seen: stale hint, no-op
-		}
-		p := int(v >> pageBits)
-		pg := ownPage(p)
-		pg[v&pageMask] = sh
-		delete(ownCold(), v)
-		next.hot++
-		d.pageLive[p]++
-		d.promoted++
 	}
-
 	for _, v := range b.Retire {
-		if v >= hotIDLimit {
-			continue // already cold-resident by construction
-		}
-		p := int(v >> pageBits)
-		if p >= len(next.pages) || next.pages[p] == nil {
-			continue
-		}
-		slot := v & pageMask
-		if next.pages[p][slot] == noShard {
-			continue // unknown or already retired
-		}
-		pg := ownPage(p)
-		ownCold()[v] = pg[slot]
-		pg[slot] = noShard
-		next.hot--
-		d.pageLive[p]--
-		d.retired++
-		if d.pageLive[p] == 0 {
-			// The spill emptied the page: drop it so the hot tier's
-			// footprint tracks the live set (compaction).
-			ownPages(p + 1)
-			next.pages[p] = nil
-			delete(owned, p)
+		// Spilled IDs read cold, so only dense hot entries retire.
+		if old := next.slot(v); old >= 0 && old < coldBit {
+			put(v, old|coldBit)
+			d.retired++
 		}
 	}
 
@@ -575,14 +505,31 @@ func (d *Directory) commit(b Batch, wave bool) (uint64, error) {
 	return next.epoch, nil
 }
 
+// checkTargets rejects any move of a lane whose target shard is negative,
+// does not fit a slot, or lies outside the batch's effective shard count.
+func checkTargets(lane string, moves []Move, shards int) error {
+	for _, m := range moves {
+		if m.To < 0 || m.To > MaxShard {
+			return fmt.Errorf("directory: %s %d: shard %d out of range [0,%d]", lane, m.V, m.To, MaxShard)
+		}
+		if shards > 0 && m.To >= shards {
+			return fmt.Errorf("directory: %s %d: shard %d out of range [0,%d)", lane, m.V, m.To, shards)
+		}
+	}
+	return nil
+}
+
 // Stats is a point-in-time summary of the directory for reporting.
 type Stats struct {
 	Epoch     uint64
 	Shards    int
 	Entries   int
 	Hot, Cold int
-	Pages     int // allocated (non-nil) hot pages in the current view
-	Flips     uint64
+	// Pages counts the allocated pages of the current view's table, both
+	// tiers. Retirement keeps an entry in its page, so Pages never
+	// decreases.
+	Pages int
+	Flips uint64
 	// WaveFlips counts the commits marked as repartition waves through the
 	// Committer seam; Flips - WaveFlips are loose placement flushes.
 	WaveFlips  uint64

@@ -31,6 +31,8 @@ type oracle struct {
 	mu     sync.Mutex
 	cur    oracleState
 	epochs map[uint64]oracleState // every epoch ever, for readers to join on
+	// retired, rehydrated and promoted mirror the directory's Stats.
+	retired, rehydrated, promoted uint64
 }
 
 func newOracle() *oracle {
@@ -63,12 +65,30 @@ func (o *oracle) apply(epoch uint64, b Batch) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for _, m := range b.Set {
+		if m.V >= hotIDLimit {
+			o.cur.cold[m.V] = true // spilled IDs are always cold
+		} else if o.cur.cold[m.V] {
+			delete(o.cur.cold, m.V) // sets (re)hydrate into the hot tier
+			o.rehydrated++
+		}
 		o.cur.m[m.V] = m.To
-		delete(o.cur.cold, m.V) // sets (re)hydrate into the hot tier
+	}
+	for _, m := range b.SetCold {
+		if _, ok := o.cur.m[m.V]; !ok {
+			o.cur.cold[m.V] = true // unknown vertices join the cold tier
+		}
+		o.cur.m[m.V] = m.To // known vertices keep their tier
+	}
+	for _, v := range b.Promote {
+		if v < hotIDLimit && o.cur.cold[v] {
+			delete(o.cur.cold, v)
+			o.promoted++
+		}
 	}
 	for _, v := range b.Retire {
 		if _, ok := o.cur.m[v]; ok && !o.cur.cold[v] {
 			o.cur.cold[v] = true
+			o.retired++
 		}
 	}
 	o.epochs[epoch] = o.snapshot()
@@ -81,31 +101,33 @@ func (o *oracle) at(epoch uint64) (oracleState, bool) {
 	return s, ok
 }
 
-// materialise converts a directory snapshot into the oracle's shape.
+// materialise converts a directory snapshot into the oracle's shape
+// through its public surface alone: Each for the mapping, LookupTier for
+// the tier.
 func materialise(s *Snapshot) oracleState {
 	st := oracleState{m: map[graph.VertexID]int{}, cold: map[graph.VertexID]bool{}}
-	for p, pg := range s.pages {
-		if pg == nil {
-			continue
+	s.Each(func(v graph.VertexID, shard int) bool {
+		st.m[v] = shard
+		if _, cold, _ := s.LookupTier(v); cold {
+			st.cold[v] = true
 		}
-		base := graph.VertexID(p) << pageBits
-		for i, sh := range pg {
-			if sh != noShard {
-				st.m[base+graph.VertexID(i)] = int(sh)
-			}
-		}
-	}
-	for v, sh := range s.cold {
-		st.m[v] = int(sh)
-		st.cold[v] = true
-	}
+		return true
+	})
 	return st
 }
 
+// sameAsOracle reports whether s serves exactly want: the same mapping and
+// tiers, and counts that agree with them.
+func sameAsOracle(s *Snapshot, want oracleState) bool {
+	return reflect.DeepEqual(materialise(s), want) && s.Len() == len(want.m) &&
+		s.ColdLen() == len(want.cold) && s.HotLen() == len(want.m)-len(want.cold)
+}
+
 // TestRaceSnapshotsMatchOracle is the linearizability property test: one
-// writer drives random place/wave/retire batches into the directory and
-// the oracle; reader goroutines concurrently pin snapshots (current and
-// journaled) and require them DeepEqual to the oracle at the same epoch.
+// writer drives random batches over all four lanes (set, set-cold, promote,
+// retire) into the directory and the oracle; reader goroutines concurrently
+// pin snapshots (current and journaled) and require them to match the
+// oracle at the same epoch.
 func TestRaceSnapshotsMatchOracle(t *testing.T) {
 	const (
 		universe = 3 * pageSize // spans multiple pages
@@ -124,8 +146,7 @@ func TestRaceSnapshotsMatchOracle(t *testing.T) {
 			fail.CompareAndSwap(nil, "oracle missing epoch")
 			return
 		}
-		got := materialise(s)
-		if !reflect.DeepEqual(got, want) {
+		if !sameAsOracle(s, want) {
 			fail.CompareAndSwap(nil, "snapshot diverged from oracle")
 		}
 	}
@@ -165,38 +186,52 @@ func TestRaceSnapshotsMatchOracle(t *testing.T) {
 		}(int64(r + 1))
 	}
 
-	// Single writer: random batches, oracle first (so any published epoch
-	// already has its oracle row), then the directory.
+	// Single writer: random batches over all four lanes, oracle first (so
+	// any published epoch already has its oracle row), then the directory.
+	// One placement in 16 lands on a spilled ID at or above hotIDLimit.
 	rng := rand.New(rand.NewSource(99))
 	placed := make([]graph.VertexID, 0, universe)
 	seen := make(map[graph.VertexID]bool)
+	fresh := func() graph.VertexID {
+		v := graph.VertexID(rng.Intn(universe))
+		if rng.Intn(16) == 0 {
+			v = hotIDLimit + graph.VertexID(rng.Intn(8))
+		}
+		if !seen[v] {
+			seen[v] = true
+			placed = append(placed, v)
+		}
+		return v
+	}
+	known := func(n int) []graph.VertexID {
+		var vs []graph.VertexID
+		for i := 0; i < n && len(placed) > 0; i++ {
+			vs = append(vs, placed[rng.Intn(len(placed))])
+		}
+		return vs
+	}
 	for c := 0; c < commits && fail.Load() == nil; c++ {
 		var b Batch
-		switch rng.Intn(3) {
+		switch rng.Intn(5) {
 		case 0: // placement batch
 			for i := 0; i < 1+rng.Intn(32); i++ {
-				v := graph.VertexID(rng.Intn(universe))
-				b.Set = append(b.Set, Move{V: v, To: rng.Intn(4)})
-				if !seen[v] {
-					seen[v] = true
-					placed = append(placed, v)
-				}
+				b.Set = append(b.Set, Move{V: fresh(), To: rng.Intn(4)})
 			}
 		case 1: // wave over known vertices
-			for i := 0; i < rng.Intn(64); i++ {
-				if len(placed) == 0 {
-					break
-				}
-				v := placed[rng.Intn(len(placed))]
+			for _, v := range known(rng.Intn(64)) {
 				b.Set = append(b.Set, Move{V: v, To: rng.Intn(4)})
 			}
 		case 2: // retirement sweep
-			for i := 0; i < rng.Intn(48); i++ {
-				if len(placed) == 0 {
-					break
-				}
-				b.Retire = append(b.Retire, placed[rng.Intn(len(placed))])
+			b.Retire = known(rng.Intn(48))
+		case 3: // tier-preserving remap, plus a few unknown vertices
+			for _, v := range known(rng.Intn(32)) {
+				b.SetCold = append(b.SetCold, Move{V: v, To: rng.Intn(4)})
 			}
+			for i := 0; i < rng.Intn(4); i++ {
+				b.SetCold = append(b.SetCold, Move{V: fresh(), To: rng.Intn(4)})
+			}
+		case 4: // promotion hints: cold, hot and spilled alike
+			b.Promote = known(rng.Intn(32))
 		}
 		o.apply(d.Epoch()+1, b)
 		if _, err := d.Commit(b); err != nil {
@@ -214,8 +249,13 @@ func TestRaceSnapshotsMatchOracle(t *testing.T) {
 	if !ok {
 		t.Fatal("oracle missing final epoch")
 	}
-	if got := materialise(d.Current()); !reflect.DeepEqual(got, final) {
+	if !sameAsOracle(d.Current(), final) {
 		t.Fatal("final directory state diverged from oracle")
+	}
+	st := d.Stats()
+	if st.Retired != o.retired || st.Rehydrated != o.rehydrated || st.Promoted != o.promoted {
+		t.Errorf("stats retired/rehydrated/promoted = %d/%d/%d, oracle %d/%d/%d",
+			st.Retired, st.Rehydrated, st.Promoted, o.retired, o.rehydrated, o.promoted)
 	}
 }
 

@@ -46,6 +46,31 @@ func TestBatchShardsCarriage(t *testing.T) {
 		t.Error("negative Shards accepted")
 	}
 
+	// Targets and counts wider than a slot holds are rejected even before
+	// any count is declared, instead of being truncated to int32.
+	wide := New(Config{})
+	for _, b := range []Batch{
+		{Set: []Move{{V: 7, To: 1<<32 + 3}}},
+		{Set: []Move{{V: 8, To: 1 << 31}}},
+		{Set: []Move{{V: 9, To: MaxShard + 1}}},
+		{SetCold: []Move{{V: 10, To: MaxShard + 1}}},
+		{SetCold: []Move{{V: hotIDLimit + 1, To: 1<<32 + 3}}},
+		{Shards: MaxShard + 1},
+	} {
+		if _, err := wide.Commit(b); err == nil {
+			t.Errorf("batch %+v accepted", b)
+		}
+	}
+	if wide.Epoch() != 0 || wide.Current().Len() != 0 {
+		t.Errorf("rejected wide batches leaked: epoch=%d len=%d", wide.Epoch(), wide.Current().Len())
+	}
+	if _, err := wide.Place(9, MaxShard); err != nil {
+		t.Fatal(err)
+	}
+	if sh, cold, ok := wide.Current().LookupTier(9); !ok || cold || sh != MaxShard {
+		t.Errorf("LookupTier(9) = (%d,%v,%v), want (%d,false,true)", sh, cold, ok, MaxShard)
+	}
+
 	// The old epoch still answers with the old count: no k/placement tear
 	// for a pinned reader.
 	old, err := d.PinEpoch(e1)

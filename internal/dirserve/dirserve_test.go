@@ -132,6 +132,19 @@ func TestClientRepinAfterEviction(t *testing.T) {
 	}
 }
 
+// mixedStream is a mixed commit stream: placements, a wave, retirements, a
+// resize batch carrying its shard-count change, and a promotion.
+var mixedStream = []struct {
+	b    directory.Batch
+	wave bool
+}{
+	{directory.Batch{Set: []directory.Move{{V: 1, To: 0}, {V: 2, To: 1}, {V: 3, To: 0}}, Shards: 2}, false},
+	{directory.Batch{Set: []directory.Move{{V: 1, To: 1}, {V: 4, To: 0}}}, true},
+	{directory.Batch{Retire: []graph.VertexID{2}}, false},
+	{directory.Batch{Set: []directory.Move{{V: 5, To: 3}}, Shards: 4}, true},
+	{directory.Batch{Promote: []graph.VertexID{2}}, false},
+}
+
 func TestFanoutReplication(t *testing.T) {
 	primary := directory.New(directory.Config{})
 
@@ -156,18 +169,7 @@ func TestFanoutReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A mixed commit stream: placements, a wave, retirements, a resize
-	// batch carrying its shard-count change, and a promotion.
-	batches := []struct {
-		b    directory.Batch
-		wave bool
-	}{
-		{directory.Batch{Set: []directory.Move{{V: 1, To: 0}, {V: 2, To: 1}, {V: 3, To: 0}}, Shards: 2}, false},
-		{directory.Batch{Set: []directory.Move{{V: 1, To: 1}, {V: 4, To: 0}}}, true},
-		{directory.Batch{Retire: []graph.VertexID{2}}, false},
-		{directory.Batch{Set: []directory.Move{{V: 5, To: 3}}, Shards: 4}, true},
-		{directory.Batch{Promote: []graph.VertexID{2}}, false},
-	}
+	batches := mixedStream
 	for _, tb := range batches {
 		if _, err := f.CommitBatch(tb.b, tb.wave); err != nil {
 			t.Fatal(err)
