@@ -1,13 +1,11 @@
 package graph
 
-import "math"
-
-// Windowed decay and retirement. The graph tracks, per vertex and per
-// directed edge, the epoch of the last interaction that touched it; a decay
-// sweep (one per metric window in the simulator) advances the epoch,
-// multiplies every live weight by a factor in (0,1], and retires whatever
-// has not been touched for maxAge epochs. The effective decayed weight of
-// an entry is therefore
+// Windowed decay and retirement. A graph made by NewDecaying tracks, per
+// vertex and per directed edge, the epoch of the last interaction that
+// touched it; a decay sweep (one per metric window in the simulator)
+// advances the epoch, multiplies every live weight by a factor in (0,1],
+// and retires whatever has not been touched for the graph's maxAge epochs.
+// The effective decayed weight of an entry is therefore
 //
 //	w(age) = max(1, floor(w·factor^age))  while age < maxAge,
 //	w(age) = 0                            at age >= maxAge,
@@ -20,11 +18,10 @@ import "math"
 // live graph is exactly the set of vertices and edges touched within the
 // last maxAge epochs.
 //
-// Two sweep implementations share these semantics: the eager full scan
-// below, and the scheduled O(touched) path in decay_sched.go (enabled by
-// EnableScheduledDecay) that exploits the floor fixed point and horizon
-// buckets to touch only what a sweep can actually change. DecaySweep picks
-// between them; they are observably identical, pinned by a property test.
+// DecaySweep (decay_sched.go) is the one sweep: it exploits the floor
+// fixed point and horizon buckets to touch only what a sweep can actually
+// change. A full scan of the live graph with the same semantics is kept in
+// the tests as the oracle it is checked against.
 //
 // Retired vertices release their slot to the free list (EnsureVertex reuses
 // it on reappearance) and their ID is removed from the slot table or spill
@@ -42,14 +39,10 @@ type DecayDelta struct {
 	// EdgeDecays counts directed edges whose weight changed (shrank) this
 	// sweep, excluding drops.
 	EdgeDecays int
-	// Touched counts the entries the sweep actually visited — schedule
-	// bucket and heavy-list entries on the scheduled path, live vertices
-	// plus their out-row entries on the eager one. It is the sweep's work
-	// metric: on the scheduled path it is O(traffic touched within the
+	// Touched counts the schedule bucket and heavy-list entries the sweep
+	// visited. It is the sweep's work metric: O(traffic touched within the
 	// horizon) regardless of live-graph size.
 	Touched int
-	// Lazy reports which implementation ran (true: scheduled).
-	Lazy bool
 }
 
 // Quiet reports whether the sweep changed no edge: nothing dropped,
@@ -57,179 +50,6 @@ type DecayDelta struct {
 // simulator's cut counters) can skip their update entirely on quiet
 // sweeps.
 func (d DecayDelta) Quiet() bool { return d.EdgeDrops == 0 && d.EdgeDecays == 0 }
-
-// DecayWeights advances the graph's epoch and applies one decay sweep:
-// every vertex and edge weight is multiplied by factor (rounded down,
-// clamped to a minimum of one), and vertices and edges untouched for maxAge
-// or more epochs — counting the epoch just opened — are dropped. It returns
-// the number of retired vertices.
-//
-// factor must be in (0, 1] and maxAge at least 1; out-of-range arguments
-// are clamped (see DecaySweep).
-func (g *Graph) DecayWeights(factor float64, maxAge uint32) (retired int) {
-	return g.DecaySweep(factor, maxAge, nil, nil).Retired
-}
-
-// DecayRetired is DecayWeights with a callback invoked for each vertex just
-// before it retires (while its ID and records are still intact), letting
-// callers maintain external per-vertex state — the simulator uses it to
-// keep per-shard live counts exact.
-func (g *Graph) DecayRetired(factor float64, maxAge uint32, onRetire func(VertexID)) (retired int) {
-	return g.DecaySweep(factor, maxAge, onRetire, nil).Retired
-}
-
-// DecaySweep is the full decay entry point: one sweep with both callbacks
-// and a change summary. onRetire fires per retiring vertex as in
-// DecayRetired. onEdge fires exactly once per directed edge the sweep
-// changes — onEdge(u, v, oldW, 0) for a horizon drop, onEdge(u, v, oldW,
-// newW) for a weight rescale that actually changed the stored value — and
-// never for edges left as they were, so a consumer can maintain
-// edge-derived counters incrementally and skip windows whose delta is
-// Quiet. Callbacks must not mutate the graph.
-//
-// Out-of-range arguments are clamped rather than silently ignored — a
-// factor underflowing to 0 (a half-life vastly shorter than the sweep
-// interval) must not read as "decay off" and let the graph grow without
-// bound: factor <= 0 becomes the smallest positive float (weights collapse
-// to the floor of one immediately; retirement still runs on age), factor >
-// 1 becomes 1, maxAge 0 becomes 1.
-//
-// On a graph with scheduled decay enabled, a sweep at any horizon other
-// than the scheduled one permanently reverts the graph to eager sweeps:
-// the schedule's horizon buckets are keyed by the configured maxAge and
-// cannot answer a different one.
-func (g *Graph) DecaySweep(factor float64, maxAge uint32, onRetire func(VertexID), onEdge func(u, v VertexID, oldW, newW int64)) DecayDelta {
-	if factor <= 0 {
-		factor = math.SmallestNonzeroFloat64
-	}
-	if factor > 1 {
-		factor = 1
-	}
-	if maxAge < 1 {
-		maxAge = 1
-	}
-	if g.sched != nil && g.sched.maxAge != maxAge {
-		g.sched = nil
-	}
-	if g.sched != nil {
-		return g.scheduledSweep(factor, onRetire, onEdge)
-	}
-	return g.eagerSweep(factor, maxAge, onRetire, onEdge)
-}
-
-// eagerSweep is the full-scan sweep: every slot ever allocated is visited
-// (free slots cost one kind check each, so the scan is O(peak live size))
-// and weight work is proportional to the live graph; aggregate counters
-// (EdgeCount, TotalEdgeWeight, TotalVertexWeight) are rebuilt during the
-// sweep.
-//
-// The epoch/touch invariant that makes the sweep safe: a vertex's touch is
-// at least the touch of every incident edge (AddInteraction stamps both
-// endpoints), so by the time a vertex ages out, every incident edge has
-// already been dropped — from both of its row copies, which always carry
-// identical touch stamps — and retirement never leaves a dangling edge.
-// onEdge consequently fires from exactly one place per directed edge: the
-// canonical (out) copy, either in the owner's decayRow pass or, for a
-// retiring owner whose rows are dropped wholesale, in the retirement
-// branch below.
-func (g *Graph) eagerSweep(factor float64, maxAge uint32, onRetire func(VertexID), onEdge func(u, v VertexID, oldW, newW int64)) DecayDelta {
-	var delta DecayDelta
-	g.epoch++
-	g.numEdges = 0
-	g.totalEdgeWeight = 0
-	g.totalVertWeight = 0
-	for s := range g.ids {
-		if g.kinds[s] == 0 {
-			continue // already free
-		}
-		delta.Touched++
-		if g.epoch-g.touch[s] >= maxAge {
-			if onRetire != nil {
-				onRetire(g.ids[s])
-			}
-			// The out row holds this vertex's canonical edge copies; they
-			// vanish with the slot (the mirror copies in live neighbours'
-			// in rows age out in those neighbours' decayRow pass, silently).
-			r := &g.out[s]
-			delta.EdgeDrops += len(r.e)
-			if onEdge != nil {
-				for i := range r.e {
-					onEdge(g.ids[s], r.e[i].to, r.e[i].w, 0)
-				}
-			}
-			g.retireSlot(int32(s))
-			delta.Retired++
-			continue
-		}
-		g.decayRow(&g.out[s], factor, maxAge, g.ids[s], true, onEdge, &delta)
-		g.decayRow(&g.in[s], factor, maxAge, 0, false, nil, nil)
-		w := int64(float64(g.weights[s]) * factor)
-		if w < 1 {
-			w = 1
-		}
-		g.weights[s] = w
-		g.totalVertWeight += w
-		g.numEdges += len(g.out[s].e)
-		for i := range g.out[s].e {
-			g.totalEdgeWeight += g.out[s].e[i].w
-		}
-	}
-	return delta
-}
-
-// decayRow decays one adjacency row in place: expired entries are dropped,
-// surviving weights shrink by factor with a floor of one. The position
-// index is rebuilt (or dropped) to match the compacted row. canon marks the
-// row as holding canonical (out) edge copies owned by vertex u: drops and
-// rescales are then counted into delta and reported through onEdge; mirror
-// (in) rows pass canon false and change silently.
-func (g *Graph) decayRow(r *row, factor float64, maxAge uint32, u VertexID, canon bool, onEdge func(u, v VertexID, oldW, newW int64), delta *DecayDelta) {
-	j := 0
-	for i := range r.e {
-		if canon {
-			delta.Touched++
-		}
-		if g.epoch-r.e[i].touch >= maxAge {
-			if canon {
-				delta.EdgeDrops++
-				if onEdge != nil {
-					onEdge(u, r.e[i].to, r.e[i].w, 0)
-				}
-			}
-			continue
-		}
-		w := int64(float64(r.e[i].w) * factor)
-		if w < 1 {
-			w = 1
-		}
-		if canon && w != r.e[i].w {
-			delta.EdgeDecays++
-			if onEdge != nil {
-				onEdge(u, r.e[i].to, r.e[i].w, w)
-			}
-		}
-		r.e[j] = r.e[i]
-		r.e[j].w = w
-		j++
-	}
-	if j == len(r.e) {
-		// Nothing dropped: the rescale already happened in place (j == i
-		// throughout), positions are unchanged, the index stays valid.
-		return
-	}
-	r.e = r.e[:j]
-	if r.idx == nil {
-		return
-	}
-	if len(r.e) <= rowIndexThreshold {
-		r.idx = nil
-		return
-	}
-	clear(r.idx)
-	for i := range r.e {
-		r.idx[r.e[i].to] = int32(i)
-	}
-}
 
 // retireSlot frees one vertex slot: the ID is unindexed, the records are
 // zeroed (the zero Kind marks the slot free) and the slot joins the free

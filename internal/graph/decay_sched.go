@@ -2,15 +2,16 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
-// Scheduled (lazy) decay: the O(touched) sweep.
+// Scheduled (lazy) decay: the O(touched) sweep behind DecaySweep.
 //
-// The eager sweep in decay.go visits every live slot and both rows of
-// every live vertex — O(live graph) per window even when nothing happened.
-// Two observations make the sweep cheap without changing a single
-// observable:
+// A full scan of the contract in decay.go visits every live slot and both
+// rows of every live vertex — O(live graph) per window even when nothing
+// happened. Two observations make the sweep cheap without changing a
+// single observable:
 //
 //  1. The per-sweep rescale w' = max(1, floor(w·factor)) has a fixed
 //     point at w == 1 (and, for factor < 1, strictly decreases every
@@ -28,7 +29,7 @@ import (
 // The schedule therefore keeps: a bucket ring per kind (vertices, edges)
 // and a heavy list per kind (entries whose weight is above the floor,
 // plus freshly created vertices whose weight the next sweep must
-// materialize from zero to one, exactly as the eager sweep would). Sweep
+// materialize from zero to one, exactly as a full scan would). Sweep
 // work is O(bucket drained + heavy visited) — proportional to traffic
 // touched within the horizon, not to the live graph.
 //
@@ -45,13 +46,12 @@ import (
 // Stored weights are always current: a sweep materializes every weight it
 // could change, so readers (Neighbors, EdgeWeight, the CSR builder, the
 // placement rules, the aggregate counters) need no read-side view and are
-// byte-identical to the eager path. Equivalence is pinned by the
-// scheduled-vs-eager property test under -race.
+// byte-identical to a full scan. Equivalence is pinned under -race by a
+// property test against the full-scan sweep the tests keep as an oracle.
 
-// maxScheduledAge bounds the horizon the scheduled path will build its
-// bucket ring for. Beyond it (a horizon of more than ~64k sweeps —
-// decades of four-hour windows) the ring's fixed cost stops being worth
-// it and EnableScheduledDecay refuses, leaving the eager sweep in charge.
+// maxScheduledAge bounds the horizon NewDecaying builds its bucket rings
+// for: a horizon of more than ~64k sweeps (decades of four-hour windows)
+// is refused rather than paying for rings that large.
 const maxScheduledAge = 1 << 16
 
 // edgeRef names a directed edge by its endpoints; the out row of u holds
@@ -111,30 +111,20 @@ func (d *decaySchedule) clone() *decaySchedule {
 	return c
 }
 
-// EnableScheduledDecay switches the graph's decay sweeps from the eager
-// full scan to the scheduled O(touched) path, for sweeps at exactly the
-// given horizon (DecaySweep with any other maxAge permanently reverts the
-// graph to eager sweeps). It must be called on a graph that has never
-// held a vertex or been swept; maxAge must be in [1, 1<<16]. The factor
-// passed to each sweep remains free — only the horizon is fixed, because
-// the retirement buckets are keyed by it.
-func (g *Graph) EnableScheduledDecay(maxAge uint32) error {
-	if len(g.ids) != 0 || g.epoch != 0 {
-		return fmt.Errorf("graph: scheduled decay must be enabled before any vertex or sweep")
-	}
+// NewDecaying returns an empty graph whose decay sweeps (DecaySweep)
+// retire entries untouched for maxAge sweeps. maxAge must be in
+// [1, 1<<16]. The factor passed to each sweep remains free — only the
+// horizon is fixed, because the retirement buckets are keyed by it.
+func NewDecaying(maxAge uint32) (*Graph, error) {
 	if maxAge < 1 || maxAge > maxScheduledAge {
-		return fmt.Errorf("graph: scheduled decay horizon %d outside [1, %d]", maxAge, maxScheduledAge)
+		return nil, fmt.Errorf("graph: decay horizon %d outside [1, %d]", maxAge, maxScheduledAge)
 	}
-	g.sched = &decaySchedule{
+	return &Graph{sched: &decaySchedule{
 		maxAge: maxAge,
 		vring:  make([][]VertexID, maxAge+1),
 		ering:  make([][]edgeRef, maxAge+1),
-	}
-	return nil
+	}}, nil
 }
-
-// ScheduledDecay reports whether the scheduled decay path is active.
-func (g *Graph) ScheduledDecay() bool { return g.sched != nil }
 
 // scheduleExpiry files id into the horizon bucket of the epoch at which
 // it becomes eligible to retire if left untouched. Called on the first
@@ -154,35 +144,65 @@ func (g *Graph) scheduleEdgeExpiry(u, v VertexID) {
 
 // scheduleVertex registers a newly (re)created vertex: a horizon bucket
 // entry, plus a heavy-list entry because its weight of zero must be
-// materialized to the floor of one by the next sweep, exactly as the
-// eager sweep would.
+// materialized to the floor of one by the next sweep, exactly as a full
+// scan would.
 func (g *Graph) scheduleVertex(id VertexID, s int32) {
 	g.scheduleExpiry(id)
 	g.sched.heavyV = append(g.sched.heavyV, heavyVertex{s: s, id: id})
 }
 
-// scheduledSweep is the O(touched) decay sweep. Equivalence with
-// eagerSweep rests on the observations documented at the top of this
-// file; the phases run in an order that reproduces the eager sweep's
-// observable sequence exactly:
+// DecaySweep advances the graph's epoch and applies one decay sweep: every
+// vertex and edge weight is multiplied by factor (rounded down, clamped to
+// a minimum of one), and vertices and edges untouched for the graph's
+// maxAge or more epochs — counting the epoch just opened — are dropped.
+//
+// onRetire fires per retiring vertex just before it retires (while its ID
+// and records are still intact), letting callers maintain external
+// per-vertex state — the simulator uses it to keep per-shard live counts
+// exact. onEdge fires exactly once per directed edge the sweep changes —
+// onEdge(u, v, oldW, 0) for a horizon drop, onEdge(u, v, oldW, newW) for a
+// weight rescale that actually changed the stored value — and never for
+// edges left as they were, so a consumer can maintain edge-derived
+// counters incrementally and skip windows whose delta is Quiet. Either
+// callback may be nil. Callbacks must not mutate the graph.
+//
+// An out-of-range factor is clamped rather than silently ignored — a
+// factor underflowing to 0 (a half-life vastly shorter than the sweep
+// interval) must not read as "decay off" and let the graph grow without
+// bound: factor <= 0 becomes the smallest positive float (weights collapse
+// to the floor of one immediately; retirement still runs on age), factor >
+// 1 becomes 1.
+//
+// DecaySweep panics on a graph not made by NewDecaying.
+//
+// The sweep is O(touched): equivalence with a full scan rests on the
+// observations documented at the top of this file; the phases run in an
+// order that reproduces the full scan's observable sequence exactly:
 //
 //  1. Drain the edge bucket — horizon-expired edges leave both rows
 //     before any vertex retires, so retiring vertices always have empty
 //     rows (an edge's touch never exceeds its endpoints', hence its
 //     expiry never falls after theirs).
 //  2. Drain the vertex bucket, retiring in ascending slot order — the
-//     order the eager scan fires onRetire in.
+//     order a full scan fires onRetire in.
 //  3. Rescale the heavy edges, then the heavy vertices. A vertex
-//     retiring this sweep is gone by now, exactly like the eager sweep
+//     retiring this sweep is gone by now, exactly like a full scan
 //     retires a vertex instead of decaying it; its weight left the
 //     aggregate at the value the previous sweep gave it.
-//
-// Callbacks must not mutate the graph.
-func (g *Graph) scheduledSweep(factor float64, onRetire func(VertexID), onEdge func(u, v VertexID, oldW, newW int64)) DecayDelta {
+func (g *Graph) DecaySweep(factor float64, onRetire func(VertexID), onEdge func(u, v VertexID, oldW, newW int64)) DecayDelta {
+	if g.sched == nil {
+		panic("graph: DecaySweep on a graph not made by NewDecaying")
+	}
+	if factor <= 0 {
+		factor = math.SmallestNonzeroFloat64
+	}
+	if factor > 1 {
+		factor = 1
+	}
 	d := g.sched
 	g.epoch++
 	e := g.epoch
-	delta := DecayDelta{Lazy: true}
+	var delta DecayDelta
 
 	// Phase 1: horizon-expired edges.
 	slot := e % uint32(len(d.ering))

@@ -87,9 +87,19 @@ type edgeChange struct {
 	OldW, NewW int64
 }
 
-func traceSweep(g *Graph, factor float64, maxAge uint32) (DecayDelta, sweepTrace) {
+// sweeper is the signature DecaySweep and the eager oracle share.
+type sweeper func(factor float64, onRetire func(VertexID), onEdge func(u, v VertexID, oldW, newW int64)) DecayDelta
+
+// eagerSweeper binds the test-only full-scan sweep of g at horizon maxAge.
+func eagerSweeper(g *Graph, maxAge uint32) sweeper {
+	return func(factor float64, onRetire func(VertexID), onEdge func(u, v VertexID, oldW, newW int64)) DecayDelta {
+		return g.eagerSweep(factor, maxAge, onRetire, onEdge)
+	}
+}
+
+func traceSweep(sweep sweeper, factor float64) (DecayDelta, sweepTrace) {
 	var tr sweepTrace
-	delta := g.DecaySweep(factor, maxAge,
+	delta := sweep(factor,
 		func(id VertexID) { tr.Retired = append(tr.Retired, id) },
 		func(u, v VertexID, oldW, newW int64) {
 			tr.Edges = append(tr.Edges, edgeChange{U: u, V: v, OldW: oldW, NewW: newW})
@@ -112,8 +122,9 @@ func traceSweep(g *Graph, factor float64, maxAge uint32) (DecayDelta, sweepTrace
 	return delta, tr
 }
 
-// TestPropertyScheduledDecayMatchesEager drives a scheduled-decay graph and
-// an eager-decay graph with identical interaction/sweep interleavings —
+// TestPropertyScheduledDecayMatchesEager drives a NewDecaying graph and a
+// plain graph swept by the test-only full-scan oracle (eagerSweep) with
+// identical interaction/sweep interleavings —
 // bursts, quiet gaps long enough to retire whole eras, and reappearance of
 // retired IDs — and requires byte-identical observables after every sweep:
 // the canonical graph dump, the retirement sequence, the edge-change set,
@@ -127,14 +138,8 @@ func TestPropertyScheduledDecayMatchesEager(t *testing.T) {
 		maxAge := uint32(ageRaw%5) + 1
 		factor := [...]float64{0.5, 0.9, 1.0, 0.25}[int(seed&3+3)&3]
 
-		lazy := New()
-		if err := lazy.EnableScheduledDecay(maxAge); err != nil {
-			t.Fatalf("EnableScheduledDecay: %v", err)
-		}
+		lazy := mustNewDecaying(t, maxAge)
 		eager := New()
-		if !lazy.ScheduledDecay() || eager.ScheduledDecay() {
-			t.Fatal("ScheduledDecay flags wrong")
-		}
 
 		for round := 0; round < rounds; round++ {
 			// A burst of traffic over a drifting slice of the ID pool —
@@ -164,12 +169,8 @@ func TestPropertyScheduledDecayMatchesEager(t *testing.T) {
 				sweeps = int(maxAge) + 1 + rng.Intn(2)
 			}
 			for k := 0; k < sweeps; k++ {
-				ld, lt := traceSweep(lazy, factor, maxAge)
-				ed, et := traceSweep(eager, factor, maxAge)
-				if !ld.Lazy || ed.Lazy {
-					t.Errorf("Lazy flags: lazy=%v eager=%v", ld.Lazy, ed.Lazy)
-					return false
-				}
+				ld, lt := traceSweep(lazy.DecaySweep, factor)
+				ed, et := traceSweep(eagerSweeper(eager, maxAge), factor)
 				if ld.Retired != ed.Retired || ld.EdgeDrops != ed.EdgeDrops || ld.EdgeDecays != ed.EdgeDecays {
 					t.Errorf("round %d sweep %d: delta (r=%d,d=%d,c=%d) vs eager (r=%d,d=%d,c=%d)",
 						round, k, ld.Retired, ld.EdgeDrops, ld.EdgeDecays,
@@ -190,10 +191,10 @@ func TestPropertyScheduledDecayMatchesEager(t *testing.T) {
 		// A clone of the scheduled graph must keep sweeping independently
 		// and identically.
 		lc, ec := lazy.Clone(), eager.Clone()
-		traceSweep(lazy, factor, maxAge)
+		traceSweep(lazy.DecaySweep, factor)
 		for k := 0; k < int(maxAge)+1; k++ {
-			traceSweep(lc, factor, maxAge)
-			traceSweep(ec, factor, maxAge)
+			traceSweep(lc.DecaySweep, factor)
+			traceSweep(eagerSweeper(ec, maxAge), factor)
 		}
 		if !reflect.DeepEqual(dumpGraph(lc), dumpGraph(ec)) {
 			t.Error("cloned scheduled graph diverged from cloned eager graph")
@@ -206,61 +207,18 @@ func TestPropertyScheduledDecayMatchesEager(t *testing.T) {
 	}
 }
 
-// TestScheduledDecayFallsBackOnHorizonMismatch pins the safety valve: a
-// sweep at a different horizon permanently reverts a scheduled graph to
-// eager sweeps (the horizon buckets are keyed by the configured maxAge and
-// cannot answer another), and results stay correct through the switch.
-func TestScheduledDecayFallsBackOnHorizonMismatch(t *testing.T) {
-	g := New()
-	if err := g.EnableScheduledDecay(3); err != nil {
-		t.Fatalf("EnableScheduledDecay: %v", err)
+// TestNewDecayingRejectsOutOfRangeHorizon pins the construction-time
+// contract: the horizon must lie in [1, maxScheduledAge].
+func TestNewDecayingRejectsOutOfRangeHorizon(t *testing.T) {
+	for _, maxAge := range []uint32{0, maxScheduledAge + 1} {
+		if g, err := NewDecaying(maxAge); err == nil || g != nil {
+			t.Errorf("NewDecaying(%d) = %v, %v; want an error", maxAge, g, err)
+		}
 	}
-	if err := g.AddInteraction(1, 2, KindAccount, KindAccount, 5); err != nil {
-		t.Fatal(err)
-	}
-	if d := g.DecaySweep(0.5, 3, nil, nil); !d.Lazy {
-		t.Fatal("first sweep should be scheduled")
-	}
-	if d := g.DecaySweep(0.5, 4, nil, nil); d.Lazy {
-		t.Fatal("mismatched-horizon sweep should run eager")
-	}
-	if g.ScheduledDecay() {
-		t.Fatal("schedule should be dropped permanently")
-	}
-	if w := g.EdgeWeight(1, 2); w != 1 {
-		t.Fatalf("EdgeWeight(1,2) = %d, want 1 after two halvings of 5", w)
-	}
-	// Back at the original horizon: still eager, still correct — the third
-	// sweep hits the age-3 horizon, so everything retires.
-	if d := g.DecaySweep(0.5, 3, nil, nil); d.Lazy || d.Retired != 2 {
-		t.Fatalf("post-fallback sweep: %+v, want eager with 2 retirements", d)
-	}
-	if g.VertexCount() != 0 {
-		t.Fatalf("VertexCount = %d, want 0 at the horizon", g.VertexCount())
-	}
-}
-
-// TestEnableScheduledDecayPreconditions pins the enable-time contract.
-func TestEnableScheduledDecayPreconditions(t *testing.T) {
-	g := New()
-	if err := g.EnableScheduledDecay(0); err == nil {
-		t.Error("maxAge 0 accepted")
-	}
-	if err := g.EnableScheduledDecay(maxScheduledAge + 1); err == nil {
-		t.Error("maxAge beyond bound accepted")
-	}
-	if err := g.EnableScheduledDecay(maxScheduledAge); err != nil {
-		t.Errorf("maxAge at bound refused: %v", err)
-	}
-	g2 := New()
-	g2.EnsureVertex(1, KindAccount)
-	if err := g2.EnableScheduledDecay(4); err == nil {
-		t.Error("non-empty graph accepted")
-	}
-	g3 := New()
-	g3.DecayWeights(0.5, 2)
-	if err := g3.EnableScheduledDecay(4); err == nil {
-		t.Error("already-swept graph accepted")
+	for _, maxAge := range []uint32{1, maxScheduledAge} {
+		if _, err := NewDecaying(maxAge); err != nil {
+			t.Errorf("NewDecaying(%d) refused: %v", maxAge, err)
+		}
 	}
 }
 
@@ -269,28 +227,21 @@ func TestEnableScheduledDecayPreconditions(t *testing.T) {
 // floor and whose entries are all within the horizon changes nothing and
 // must say so.
 func TestDecaySweepQuietDelta(t *testing.T) {
-	for _, scheduled := range []bool{false, true} {
-		g := New()
-		if scheduled {
-			if err := g.EnableScheduledDecay(8); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := g.AddInteraction(1, 2, KindAccount, KindAccount, 4); err != nil {
-			t.Fatal(err)
-		}
-		// First sweeps grind the weights down to the floor.
-		if d := g.DecaySweep(0.5, 8, nil, nil); d.Quiet() {
-			t.Errorf("scheduled=%v: first sweep reported quiet", scheduled)
-		}
-		g.DecaySweep(0.5, 8, nil, nil)
-		// Weights now at 1; further in-horizon sweeps are quiet.
-		d := g.DecaySweep(0.5, 8, nil, nil)
-		if !d.Quiet() {
-			t.Errorf("scheduled=%v: floor sweep not quiet: %+v", scheduled, d)
-		}
-		if scheduled && d.Touched != 0 {
-			t.Errorf("scheduled quiet sweep touched %d entries, want 0", d.Touched)
-		}
+	g := mustNewDecaying(t, 8)
+	if err := g.AddInteraction(1, 2, KindAccount, KindAccount, 4); err != nil {
+		t.Fatal(err)
+	}
+	// First sweeps grind the weights down to the floor.
+	if d := g.DecaySweep(0.5, nil, nil); d.Quiet() {
+		t.Error("first sweep reported quiet")
+	}
+	g.DecaySweep(0.5, nil, nil)
+	// Weights now at 1; further in-horizon sweeps are quiet and do no work.
+	d := g.DecaySweep(0.5, nil, nil)
+	if !d.Quiet() {
+		t.Errorf("floor sweep not quiet: %+v", d)
+	}
+	if d.Touched != 0 {
+		t.Errorf("quiet sweep touched %d entries, want 0", d.Touched)
 	}
 }

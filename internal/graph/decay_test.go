@@ -51,6 +51,16 @@ func (o *decayOracle) add(from, to VertexID, fk, tk Kind, w int64) {
 	o.etouch[[2]VertexID{from, to}] = o.epoch
 }
 
+// mustNewDecaying returns NewDecaying(maxAge), failing tb on error.
+func mustNewDecaying(tb testing.TB, maxAge uint32) *Graph {
+	tb.Helper()
+	g, err := NewDecaying(maxAge)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func decayed(w int64, factor float64) int64 {
 	d := int64(float64(w) * factor)
 	if d < 1 {
@@ -104,7 +114,7 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 		n := int(nRaw%30) + 2
 		factor := 0.3 + 0.7*float64(fRaw%100)/100 // (0.3, 1.0)
 		maxAge := uint32(aRaw%4) + 1
-		g := New()
+		g := mustNewDecaying(t, maxAge)
 		o := newDecayOracle()
 
 		for round := 0; round < int(rounds%8)+2; round++ {
@@ -124,7 +134,7 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 				}
 				o.add(from, to, fk, tk, w)
 			}
-			g.DecayWeights(factor, maxAge)
+			g.DecaySweep(factor, nil, nil)
 			o.decay(factor, maxAge)
 
 			if g.VertexCount() != len(o.kinds) {
@@ -189,17 +199,17 @@ func TestPropertyDecayMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDecayIdentitySweepIsNoOp pins the identity sweep: factor 1 with an
-// unreachable horizon must leave every observable untouched.
+// TestDecayIdentitySweepIsNoOp pins the identity sweep: factor 1 within
+// the horizon must leave every observable untouched.
 func TestDecayIdentitySweepIsNoOp(t *testing.T) {
-	g := New()
+	g := mustNewDecaying(t, maxScheduledAge)
 	for _, it := range interactionStream(7, 40, 120) {
 		if err := g.AddInteraction(it.from, it.to, it.fk, it.tk, it.w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := g.Clone()
-	if retired := g.DecayWeights(1, 1<<30); retired != 0 {
+	if retired := g.DecaySweep(1, nil, nil).Retired; retired != 0 {
 		t.Fatalf("identity sweep retired %d vertices", retired)
 	}
 	if g.VertexCount() != want.VertexCount() || g.EdgeCount() != want.EdgeCount() ||
@@ -238,27 +248,36 @@ func TestEnsureVertexRejectsInvalidKind(t *testing.T) {
 	}
 }
 
-// TestDecayClampsOutOfRangeArgs pins the argument clamping: a factor that
-// underflowed to zero (or a zero maxAge) must still sweep — silently doing
-// nothing would let the graph grow unbounded while the caller believes
-// decay is on.
+// TestDecayClampsOutOfRangeArgs pins the factor clamping: a factor that
+// underflowed to zero must still sweep — silently doing nothing would let
+// the graph grow unbounded while the caller believes decay is on — and a
+// factor above one must not grow weights.
 func TestDecayClampsOutOfRangeArgs(t *testing.T) {
-	g := New()
+	g := mustNewDecaying(t, 2)
 	if err := g.AddInteraction(1, 2, KindAccount, KindAccount, 100); err != nil {
 		t.Fatal(err)
 	}
+	// factor > 1 clamps to 1: the identity sweep.
+	if retired := g.DecaySweep(3, nil, nil).Retired; retired != 0 {
+		t.Fatalf("first sweep retired %d, want 0 (age 1 < maxAge 2)", retired)
+	}
+	if w := g.EdgeWeight(1, 2); w != 100 {
+		t.Errorf("factor above one must clamp to the identity, edge weight %d, want 100", w)
+	}
 	// factor 0 clamps to the smallest positive float: weights collapse to
 	// the floor of one, the sweep still runs.
-	if retired := g.DecayWeights(0, 2); retired != 0 {
-		t.Fatalf("first sweep retired %d, want 0 (age 1 < maxAge 2)", retired)
+	if err := g.AddInteraction(1, 2, KindAccount, KindAccount, 100); err != nil {
+		t.Fatal(err)
+	}
+	if retired := g.DecaySweep(0, nil, nil).Retired; retired != 0 {
+		t.Fatalf("second sweep retired %d, want 0 (age 1 < maxAge 2)", retired)
 	}
 	if w := g.VertexWeight(1); w != 1 {
 		t.Errorf("underflowed factor must collapse weights to the floor of one, got %d", w)
 	}
-	// maxAge 0 clamps to 1: everything untouched since the last sweep
-	// retires rather than the call silently doing nothing.
-	if retired := g.DecayWeights(0.5, 0); retired != 2 {
-		t.Errorf("maxAge-0 sweep retired %d, want 2", retired)
+	// Retirement still runs on age under the clamped factor.
+	if retired := g.DecaySweep(0, nil, nil).Retired; retired != 2 {
+		t.Errorf("horizon sweep retired %d, want 2", retired)
 	}
 	if g.VertexCount() != 0 {
 		t.Errorf("live vertices = %d, want 0", g.VertexCount())
@@ -268,14 +287,14 @@ func TestDecayClampsOutOfRangeArgs(t *testing.T) {
 // TestDecayReusesRetiredSlots checks the free list: retire a generation of
 // vertices, add a new generation, and the slot storage must not grow.
 func TestDecayReusesRetiredSlots(t *testing.T) {
-	g := New()
+	g := mustNewDecaying(t, 1)
 	for i := 0; i < 100; i++ {
 		if err := g.AddInteraction(VertexID(i), VertexID(i+100), KindAccount, KindAccount, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	slots := len(g.ids)
-	if retired := g.DecayWeights(0.5, 1); retired != 200 {
+	if retired := g.DecaySweep(0.5, nil, nil).Retired; retired != 200 {
 		t.Fatalf("retired %d vertices, want 200", retired)
 	}
 	if g.VertexCount() != 0 || g.EdgeCount() != 0 {
@@ -303,7 +322,7 @@ func TestDecayReusesRetiredSlots(t *testing.T) {
 // round-trip: a vertex that ages out and comes back builds fresh adjacency
 // without resurrecting pre-retirement edges.
 func TestDecayRetireReappearKeepsEdges(t *testing.T) {
-	g := New()
+	g := mustNewDecaying(t, 2)
 	mustAdd := func(u, v VertexID) {
 		t.Helper()
 		if err := g.AddInteraction(u, v, KindAccount, KindAccount, 3); err != nil {
@@ -312,12 +331,12 @@ func TestDecayRetireReappearKeepsEdges(t *testing.T) {
 	}
 	mustAdd(1, 2)
 	mustAdd(2, 3)
-	g.DecayWeights(0.5, 2) // age 1: everything survives
+	g.DecaySweep(0.5, nil, nil) // age 1: everything survives
 	if g.VertexCount() != 3 {
 		t.Fatalf("VertexCount = %d, want 3", g.VertexCount())
 	}
 	mustAdd(2, 3) // keep 2,3 fresh; 1 ages out next sweep
-	g.DecayWeights(0.5, 2)
+	g.DecaySweep(0.5, nil, nil)
 	if g.HasVertex(1) {
 		t.Fatal("vertex 1 should have retired")
 	}

@@ -6,9 +6,9 @@
 // The package supports incremental construction (one interaction at a time,
 // as transactions execute), snapshots, windowed sub-graphs, a compact CSR
 // form consumed by the partitioners, DOT export for visualisation, and
-// windowed exponential decay with retirement (DecayWeights) so long-running
-// callers can keep the live graph bounded by the active set instead of the
-// full history.
+// windowed exponential decay with retirement (NewDecaying and DecaySweep)
+// so long-running callers can keep the live graph bounded by the active set
+// instead of the full history.
 //
 // Storage is dense: the trace registry assigns vertex IDs from zero, so the
 // graph keeps per-vertex records in slices indexed through a VertexID->slot
@@ -175,7 +175,8 @@ func (r *row) clone() row {
 // A Graph is not safe for concurrent mutation; wrap it in a lock if multiple
 // goroutines build it. Read-only access after construction is safe.
 //
-// The zero value is not usable; call New.
+// The zero value is not usable; call New, or NewDecaying for a graph that
+// decays.
 type Graph struct {
 	// slot maps VertexID -> dense slot, -1 for absent vertices. Its length
 	// tracks the largest dense-region ID seen plus one, so sparse windowed
@@ -186,7 +187,7 @@ type Graph struct {
 	slot  []int32
 	spill map[VertexID]int32
 	// Per-slot vertex records, in insertion order. A slot whose kind is the
-	// zero value is free (its vertex was retired by DecayWeights); free
+	// zero value is free (its vertex was retired by DecaySweep); free
 	// slots are reused by EnsureVertex through the free list, so a graph
 	// with windowed decay keeps its record storage O(live vertices) however
 	// long it runs.
@@ -198,13 +199,11 @@ type Graph struct {
 	in      []row    // in[s] lists u with edge u->ids[s]
 	// free lists retired slots available for reuse.
 	free []int32
-	// epoch counts DecayWeights sweeps; touch stamps compare against it.
+	// epoch counts DecaySweep sweeps; touch stamps compare against it.
 	epoch uint32
-	// sched, when non-nil, holds the scheduled (lazy) decay state: horizon
-	// buckets and heavy lists that make a sweep O(touched traffic) instead
-	// of O(live graph). Enabled by EnableScheduledDecay on an empty graph;
-	// dropped permanently if a sweep is ever requested at a different
-	// horizon (the eager full scan takes over).
+	// sched holds the decay state of a graph made by NewDecaying (nil
+	// otherwise): horizon buckets and heavy lists that make a sweep
+	// O(touched traffic) instead of O(live graph).
 	sched *decaySchedule
 
 	// arena hands out the initial fixed-size block of every adjacency row.

@@ -14,14 +14,9 @@ import (
 // IDs spread across the whole historical space. The result is the regime
 // the O(live) hot-path contract is about: a tiny live graph inside a huge
 // historical ID space.
-func buildRetiredEraGraph(tb testing.TB, historical, live int, maxAge uint32, scheduled bool) *Graph {
+func buildRetiredEraGraph(tb testing.TB, historical, live int, maxAge uint32) *Graph {
 	tb.Helper()
-	g := New()
-	if scheduled {
-		if err := g.EnableScheduledDecay(maxAge); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	g := mustNewDecaying(tb, maxAge)
 	const eraSize = 512
 	for lo := 0; lo < historical; lo += eraSize {
 		hi := lo + eraSize
@@ -39,7 +34,7 @@ func buildRetiredEraGraph(tb testing.TB, historical, live int, maxAge uint32, sc
 			}
 		}
 		for i := uint32(0); i <= maxAge; i++ {
-			g.DecayWeights(0.5, maxAge)
+			g.DecaySweep(0.5, nil, nil)
 		}
 	}
 	if g.VertexCount() != 0 {
@@ -55,7 +50,7 @@ func buildRetiredEraGraph(tb testing.TB, historical, live int, maxAge uint32, sc
 	}
 	// One sweep settles the fresh weights; the live set is inside the
 	// horizon and survives.
-	g.DecayWeights(0.5, maxAge)
+	g.DecaySweep(0.5, nil, nil)
 	if g.VertexCount() != live {
 		tb.Fatalf("live set = %d vertices, want %d", g.VertexCount(), live)
 	}
@@ -77,7 +72,7 @@ func TestHotPathBoundedByLiveGraph(t *testing.T) {
 		maxAge     = uint32(4)
 		builds     = 50
 	)
-	g := buildRetiredEraGraph(t, historical, live, maxAge, true)
+	g := buildRetiredEraGraph(t, historical, live, maxAge)
 	if int(g.MaxID()) != historical {
 		t.Fatalf("MaxID = %d, want the full historical ID space %d", g.MaxID(), historical)
 	}
@@ -120,14 +115,11 @@ func TestHotPathBoundedByLiveGraph(t *testing.T) {
 	// still drains the burst's schedule entries — O(live). The one after
 	// that is quiet: no bucket due, no heavy weight left, so the scheduled
 	// sweep must do no work at all however large the graph's history.
-	d1 := g.DecaySweep(0.5, maxAge, nil, nil)
-	if !d1.Lazy {
-		t.Fatal("scheduled decay not active")
-	}
+	d1 := g.DecaySweep(0.5, nil, nil)
 	if d1.Touched > 4*live {
 		t.Errorf("post-burst sweep touched %d entries, want <= %d (O(live))", d1.Touched, 4*live)
 	}
-	d2 := g.DecaySweep(0.5, maxAge, nil, nil)
+	d2 := g.DecaySweep(0.5, nil, nil)
 	if d2.Touched != 0 || !d2.Quiet() {
 		t.Errorf("quiet sweep touched %d entries (quiet=%v), want zero work", d2.Touched, d2.Quiet())
 	}
@@ -142,7 +134,7 @@ func BenchmarkCSRRebuildAfterRetirement(b *testing.B) {
 	const live = 256
 	for _, historical := range []int{live * 4, live * 20, live * 80} {
 		b.Run(fmt.Sprintf("live=%d/maxid=%d", live, historical), func(b *testing.B) {
-			g := buildRetiredEraGraph(b, historical, live, 4, true)
+			g := buildRetiredEraGraph(b, historical, live, 4)
 			var builder CSRBuilder
 			builder.Build(g) // one-time scratch growth
 			b.ReportAllocs()
@@ -162,11 +154,10 @@ func BenchmarkCSRRebuildAfterRetirement(b *testing.B) {
 // CI: the cost of a quiet decay sweep (nothing expires, nothing above the
 // decay floor) across a 10× spread of live-graph size. The scheduled sweep
 // stays flat — a quiet window costs nothing regardless of how much is
-// live — while the eager sweep, benchmarked alongside as the baseline,
-// scales linearly. Part of CI's benchmark smoke.
+// live. Part of CI's benchmark smoke.
 func BenchmarkQuietWindowSweep(b *testing.B) {
 	// Every sweep ages the idle entries by one window, and at default
-	// benchtime the scheduled rows run millions of sweeps — far past any
+	// benchtime the benchmark runs millions of sweeps — far past any
 	// horizon, after which the graph has retired and the benchmark would
 	// time sweeps of an empty graph. So the graph is rebuilt, with the
 	// timer stopped, every quietSweeps measured sweeps: well inside the
@@ -176,52 +167,42 @@ func BenchmarkQuietWindowSweep(b *testing.B) {
 		warmSweeps  = 3
 		quietSweeps = maxAge / 2
 	)
-	for _, mode := range []struct {
-		name      string
-		scheduled bool
-	}{{"scheduled", true}, {"eager", false}} {
-		for _, live := range []int{2000, 20000} {
-			b.Run(fmt.Sprintf("mode=%s/live=%d", mode.name, live), func(b *testing.B) {
-				build := func() *Graph {
-					g := New()
-					if mode.scheduled {
-						if err := g.EnableScheduledDecay(maxAge); err != nil {
-							b.Fatal(err)
-						}
+	for _, live := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("mode=scheduled/live=%d", live), func(b *testing.B) {
+			build := func() *Graph {
+				g := mustNewDecaying(b, maxAge)
+				for i := 0; i < live; i++ {
+					if err := g.AddInteraction(VertexID(i), VertexID((i+1)%live),
+						KindAccount, KindAccount, 2); err != nil {
+						b.Fatal(err)
 					}
-					for i := 0; i < live; i++ {
-						if err := g.AddInteraction(VertexID(i), VertexID((i+1)%live),
-							KindAccount, KindAccount, 2); err != nil {
-							b.Fatal(err)
-						}
-					}
-					// Warm sweeps: grind every weight to the decay floor and
-					// drain the heavy lists; afterwards each sweep is quiet.
-					for i := 0; i < warmSweeps; i++ {
-						g.DecayWeights(0.5, maxAge)
-					}
-					return g
 				}
-				g := build()
-				b.ReportAllocs()
-				b.ResetTimer()
-				var touched int
-				for i := 0; i < b.N; i++ {
-					if i > 0 && i%quietSweeps == 0 {
-						b.StopTimer()
-						g = build()
-						b.StartTimer()
-					}
-					touched += g.DecaySweep(0.5, maxAge, nil, nil).Touched
+				// Warm sweeps: grind every weight to the decay floor and
+				// drain the heavy lists; afterwards each sweep is quiet.
+				for i := 0; i < warmSweeps; i++ {
+					g.DecaySweep(0.5, nil, nil)
 				}
-				b.StopTimer()
-				if got := g.VertexCount(); got != live {
-					b.Fatalf("live-vertices = %d after %d sweeps, want %d: the benchmark measured a retiring graph",
-						got, b.N, live)
+				return g
+			}
+			g := build()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var touched int
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%quietSweeps == 0 {
+					b.StopTimer()
+					g = build()
+					b.StartTimer()
 				}
-				b.ReportMetric(float64(touched)/float64(b.N), "touched/sweep")
-				b.ReportMetric(float64(g.VertexCount()), "live-vertices")
-			})
-		}
+				touched += g.DecaySweep(0.5, nil, nil).Touched
+			}
+			b.StopTimer()
+			if got := g.VertexCount(); got != live {
+				b.Fatalf("live-vertices = %d after %d sweeps, want %d: the benchmark measured a retiring graph",
+					got, b.N, live)
+			}
+			b.ReportMetric(float64(touched)/float64(b.N), "touched/sweep")
+			b.ReportMetric(float64(g.VertexCount()), "live-vertices")
+		})
 	}
 }

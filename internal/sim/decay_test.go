@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -25,10 +24,11 @@ func replayAll(t *testing.T, s *Simulator, recs []trace.Record) *Result {
 
 // TestDecayIdentitySweepMatchesDisabled proves the decay plumbing is a true
 // no-op when the sweep itself is the identity: with the per-window factor
-// forced to exactly 1 and an unreachable horizon, every window, counter and
-// graph observable must be byte-identical to a decay-disabled run. This
-// pins the epoch stamping, the per-window sweep, and the counter recount
-// (which must reproduce the incrementally maintained cut state exactly).
+// forced to exactly 1 and a horizon the stream never reaches, every
+// window, counter and graph observable must be byte-identical to a
+// decay-disabled run. This pins the epoch stamping, the per-window sweep,
+// and the sweep-driven cut maintenance (which must reproduce the
+// decay-disabled cut state exactly).
 // TR-METIS is exercised separately: decay mode intentionally changes its
 // repartition source graph, so identity-of-results does not apply to it.
 func TestDecayIdentitySweepMatchesDisabled(t *testing.T) {
@@ -41,6 +41,9 @@ func TestDecayIdentitySweepMatchesDisabled(t *testing.T) {
 			}
 			identCfg := goldenConfig(m, k)
 			identCfg.DecayHalfLife = 24 * time.Hour // enables decay mode in New
+			// The golden stream spans about 62 windows; a 30-day horizon
+			// (181 four-hour windows) is never reached.
+			identCfg.Horizon = 30 * 24 * time.Hour
 			// Decay mode also switches PenaltyAuto placement to the Fennel
 			// objective; pin the placement rule to the cap on both sides so
 			// this test isolates the sweep plumbing (the Fennel path has its
@@ -51,10 +54,9 @@ func TestDecayIdentitySweepMatchesDisabled(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Force an identity sweep: decay mode stays on (live counts,
-			// per-window sweeps, recounts all run), but the factor is
-			// exactly 1 and the horizon can never be reached.
+			// per-window sweeps, cut maintenance all run), but the factor
+			// is exactly 1.
 			ident.decayFactor = 1
-			ident.decayMaxAge = math.MaxUint32
 			want := replayAll(t, base, recs)
 			got := replayAll(t, ident, recs)
 			if !reflect.DeepEqual(got, want) {
@@ -331,6 +333,18 @@ func TestHorizonWithoutHalfLifeRejected(t *testing.T) {
 	if _, err := New(Config{Method: MethodMetis, K: 2,
 		DecayHalfLife: 6 * time.Hour, Horizon: 24 * time.Hour}); err != nil {
 		t.Errorf("valid decay config rejected: %v", err)
+	}
+}
+
+// TestDecayHorizonBeyondScheduleRejected pins the horizon bound: the
+// decaying graph keys its retirement buckets by the horizon in windows and
+// refuses more than 1<<16 of them, and New must pass that refusal on
+// rather than run some other sweep.
+func TestDecayHorizonBeyondScheduleRejected(t *testing.T) {
+	cfg := Config{Method: MethodMetis, K: 2, Window: time.Minute,
+		DecayHalfLife: time.Hour, Horizon: 50 * 24 * time.Hour} // 72,001 windows
+	if _, err := New(cfg); err == nil {
+		t.Fatal("a horizon of 72,001 windows must be rejected")
 	}
 }
 

@@ -52,6 +52,19 @@ func vertexLabel(contract bool) string {
 	return "account"
 }
 
+// parseVertexLabel is the inverse of vertexLabel: it reports whether s
+// labels a contract, and refuses anything but the two labels.
+func parseVertexLabel(s string) (contract bool, err error) {
+	switch s {
+	case "account":
+		return false, nil
+	case "contract":
+		return true, nil
+	default:
+		return false, fmt.Errorf("trace: unknown vertex kind %q", s)
+	}
+}
+
 // CSVWriter streams records in the dataset's CSV format.
 type CSVWriter struct {
 	w           *csv.Writer
@@ -197,11 +210,15 @@ func parseRow(row []string) (Record, error) {
 	if rec.From, err = strconv.ParseUint(row[3], 10, 64); err != nil {
 		return rec, fmt.Errorf("trace: bad from %q: %w", row[3], err)
 	}
-	rec.FromContract = row[4] == "contract"
+	if rec.FromContract, err = parseVertexLabel(row[4]); err != nil {
+		return rec, err
+	}
 	if rec.To, err = strconv.ParseUint(row[5], 10, 64); err != nil {
 		return rec, fmt.Errorf("trace: bad to %q: %w", row[5], err)
 	}
-	rec.ToContract = row[6] == "contract"
+	if rec.ToContract, err = parseVertexLabel(row[6]); err != nil {
+		return rec, err
+	}
 	if rec.Value, err = strconv.ParseUint(row[7], 10, 64); err != nil {
 		return rec, fmt.Errorf("trace: bad value %q: %w", row[7], err)
 	}

@@ -7,23 +7,26 @@ import (
 	"testing"
 )
 
+// malformedCSV is a trace with malformed records between a good head
+// and a good tail. Lines are 1-based and include the header (line 1).
+var malformedCSV = strings.Join([]string{
+	"block,time,kind,from,from_kind,to,to_kind,value",
+	"1,1000,tx,10,account,20,account,5",       // line 2: good
+	"2,1001,teleport,10,account,20,account,5", // line 3: unknown kind
+	"3,1002,tx,10,account,20,account",         // line 4: wrong field count
+	"4,x,tx,10,account,20,account,5",          // line 5: bad time
+	"6,1005,tx,10,Contract,20,account,5",      // line 6: bad from_kind label
+	"7,1006,tx,10,account,20,contracts,5",     // line 7: bad to_kind label
+	"5,1004,call,11,contract,21,account,7",    // line 8: good (the tail)
+}, "\n") + "\n"
+
 // TestCSVReaderSkipsMalformedRecords is the corrupted-fixture regression
 // test: malformed records mid-stream surface as per-record RecordErrors
 // with the offending line number, the reader keeps going, and the tail
 // of the dataset is preserved — a single corrupt line no longer costs
 // everything after it.
 func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
-	// Lines are 1-based and include the header (line 1).
-	fixture := strings.Join([]string{
-		"block,time,kind,from,from_kind,to,to_kind,value",
-		"1,1000,tx,10,account,20,account,5",       // line 2: good
-		"2,1001,teleport,10,account,20,account,5", // line 3: unknown kind
-		"3,1002,tx,10,account,20,account",         // line 4: wrong field count
-		"4,x,tx,10,account,20,account,5",          // line 5: bad time
-		"5,1004,call,11,contract,21,account,7",    // line 6: good (the tail)
-	}, "\n") + "\n"
-
-	cr := NewCSVReader(strings.NewReader(fixture))
+	cr := NewCSVReader(strings.NewReader(malformedCSV))
 	var records []Record
 	var recErrs []*RecordError
 	for {
@@ -48,10 +51,10 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 	if records[0].Block != 1 || records[1].Block != 5 {
 		t.Errorf("records = blocks %d, %d; want 1, 5", records[0].Block, records[1].Block)
 	}
-	if len(recErrs) != 3 {
-		t.Fatalf("got %d record errors, want 3", len(recErrs))
+	if len(recErrs) != 5 {
+		t.Fatalf("got %d record errors, want 5", len(recErrs))
 	}
-	for i, wantLine := range []int{3, 4, 5} {
+	for i, wantLine := range []int{3, 4, 5, 6, 7} {
 		if recErrs[i].Line != wantLine {
 			t.Errorf("record error %d at line %d, want %d (%v)", i, recErrs[i].Line, wantLine, recErrs[i])
 		}
@@ -59,8 +62,8 @@ func TestCSVReaderSkipsMalformedRecords(t *testing.T) {
 			t.Errorf("record error %d message %q lacks context", i, recErrs[i].Error())
 		}
 	}
-	if cr.Skipped() != 3 {
-		t.Errorf("Skipped() = %d, want 3", cr.Skipped())
+	if cr.Skipped() != 5 {
+		t.Errorf("Skipped() = %d, want 5", cr.Skipped())
 	}
 }
 
